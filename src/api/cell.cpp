@@ -4,31 +4,20 @@ namespace flexcore::api {
 
 namespace {
 
-// Folds the cell-level precision knob into the tuning ONCE, up front:
-// everything downstream — the pipeline's detector construction and
-// Runtime::reconfigure resolving swaps against cfg_.tuning — then reads
-// the tier from one place.
-CellConfig normalized(CellConfig cfg) {
-  if (cfg.precision != detect::Precision::kFloat64) {
-    cfg.tuning.precision = cfg.precision;
-  }
-  return cfg;
-}
-
 PipelineConfig pipeline_config_of(const CellConfig& cfg,
                                   parallel::ThreadPool* pool) {
   PipelineConfig pcfg;
   pcfg.detector = cfg.detector;
   pcfg.qam_order = cfg.qam_order;
   pcfg.shared_pool = pool;  // all cells multiplex the runtime's PE pool
-  pcfg.tuning = cfg.tuning;  // carries the folded precision tier
+  pcfg.tuning = cfg.tuning;
   return pcfg;
 }
 
 }  // namespace
 
 Cell::Cell(std::size_t id, const CellConfig& cfg, parallel::ThreadPool* pool)
-    : id_(id), cfg_(normalized(cfg)), pipe_(pipeline_config_of(cfg_, pool)) {
+    : id_(id), cfg_(cfg), pipe_(pipeline_config_of(cfg_, pool)) {
   if (cfg_.name.empty()) cfg_.name = "cell" + std::to_string(id);
 }
 

@@ -32,19 +32,14 @@ struct TicketState;  // defined in runtime.cpp; shared with FrameTicket
 struct CellConfig {
   /// Label reported in RuntimeStats (default: "cell<id>").
   std::string name;
-  /// Registry spec for the cell's detector ("flexcore-64", "fcsd-L2", ...).
+  /// Registry spec for the cell's detector ("flexcore-64", "fcsd-L2:i16",
+  /// ...); its ":i16" suffix selects the quantized kernel tier, which the
+  /// control plane's degrade ladder also emits under sustained load.
   std::string detector = "flexcore-64";
   int qam_order = 64;
   /// Detector tuning forwarded to api::make_detector (constellation field
   /// is ignored — the cell owns its constellation).
   DetectorConfig tuning;
-  /// Compute tier of the cell's path grids: kFloat32 runs the
-  /// single-precision kernel tier and kInt16 the quantized int16 tier
-  /// (forwarded to the cell's pipeline; a detector-spec suffix
-  /// ":fp32"/":fp64"/":i16" still overrides).  The control plane's
-  /// degrade ladder also reaches these tiers by emitting ":fp32" and then
-  /// ":i16" specs under sustained load.
-  detect::Precision precision = detect::Precision::kFloat64;
   /// Static-channel coherence policy: when true, every frame after the
   /// cell's first reuses the per-subcarrier preprocessing (QR + path
   /// selection) of the previous frame — the caller asserts the channels are

@@ -6,7 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "detect/fcsd.h"
+#include "detect/path_detector.h"
 #include "obs/obs.h"
 #include "parallel/hot_path.h"
 
@@ -141,11 +141,6 @@ void validate_frame_job(const FrameJob& job, FrameCheck check) {
 
 UplinkPipeline::UplinkPipeline(const PipelineConfig& cfg)
     : cfg_(cfg), constellation_(cfg.qam_order) {
-  // Fold the session-level precision knob into the tuning every detector
-  // construction (including clones and reconfigure swaps) flows through.
-  if (cfg_.precision != detect::Precision::kFloat64) {
-    cfg_.tuning.precision = cfg_.precision;
-  }
   if (cfg.shared_pool != nullptr) {
     pool_ = cfg.shared_pool;
   } else {
@@ -228,37 +223,28 @@ void UplinkPipeline::ensure_frame_detectors(std::size_t count) {
   }
 }
 
-/// Fused grid for path-parallel detector families: returns false when the
-/// clones are not of type D (the caller tries the next family).
-template <typename D>
+/// Fused grid for path-parallel detectors: returns false when the clones
+/// are not detect::PathDetectors (the caller runs generic_frame).
 FLEXCORE_HOT_PATH
-bool UplinkPipeline::try_typed_frame(const FrameJob& job, FrameResult* out) {
+bool UplinkPipeline::path_frame(const FrameJob& job, FrameResult* out) {
   // Clones are homogeneous (same registry spec), so one cast decides the
-  // whole family — non-matching pipelines pay a single failed cast here.
-  if (dynamic_cast<const D*>(frame_dets_.front().get()) == nullptr) {
+  // whole frame — other families pay a single failed cast here.
+  if (dynamic_cast<const detect::PathDetector*>(frame_dets_.front().get()) ==
+      nullptr) {
     return false;
   }
   const std::size_t nsc = job.channels.size();
   const std::size_t nv = job.vectors_per_channel;
   // flexcore-lint: allow-next-line(HP001) warm-capacity reuse, never shrunk
-  frame_typed_.resize(nsc);
-  // flexcore-lint: allow-next-line(HP001) warm-capacity reuse, never shrunk
-  frame_paths_.resize(nsc);
+  frame_path_dets_.resize(nsc);
   for (std::size_t f = 0; f < nsc; ++f) {
-    const D* d = static_cast<const D*>(frame_dets_[f].get());
-    frame_typed_[f] = d;
-    frame_paths_[f] = d->parallel_tasks();
+    frame_path_dets_[f] =
+        static_cast<const detect::PathDetector*>(frame_dets_[f].get());
   }
-  // Read back exactly the pointer type stored above; the void* detour only
-  // type-erases the member so ONE scratch vector serves every family.
-  const D* const* typed = reinterpret_cast<const D* const*>(frame_typed_.data());
-  const std::size_t nt = job.channels.front().cols();
 
   const bool spans = obs::want_span(job.trace);
   const std::uint64_t grid_t0 = spans ? obs::now_ns() : 0;
-  detect::run_frame_grid<D>(std::span<const D* const>(typed, nsc),
-                            frame_paths_, job.ys, nv, nt, *pool_,
-                            &frame_grid_);
+  detect::run_frame_grid(frame_path_dets_, job.ys, nv, *pool_, &frame_grid_);
   if (spans) {
     obs::record_span(obs::Stage::kPathGrid, grid_t0, obs::now_ns(),
                      job.trace);
@@ -266,25 +252,14 @@ bool UplinkPipeline::try_typed_frame(const FrameJob& job, FrameResult* out) {
   out->tasks = frame_grid_.tasks;
   out->detect_seconds = frame_grid_.elapsed_seconds;
 
-  // Winner reconstruction: one instrumented walk per vector, SIC fallback
-  // where every path was deactivated — same policy as detect_batch.  Timed
-  // separately from the grid (FrameResult::reconstruct_seconds feeds the
-  // runtime's per-stage latency breakdown).
+  // Winner reconstruction, timed separately from the grid
+  // (FrameResult::reconstruct_seconds feeds the runtime's per-stage
+  // latency breakdown).
   const auto rec_t0 = std::chrono::steady_clock::now();
   const std::uint64_t rec_t0_ns = spans ? obs::now_ns() : 0;
-  const std::size_t units = nsc * nv;
-  workspaces_.ensure(pool_->size());
-  // flexcore-lint: allow-next-line(HP001) warm-capacity reuse, never shrunk
-  frame_fell_.assign(units, 0);
-  pool_->parallel_for_worker(units, [&](std::size_t w, std::size_t u) {
-    frame_fell_[u] = typed[u / nv]->reconstruct_winner(
-        frame_grid_.ybar(u), frame_grid_.best_path[u],
-        frame_grid_.best_metric[u], workspaces_.at(w), &out->results[u]);
-  });
-  for (std::size_t u = 0; u < units; ++u) {
-    out->stats += out->results[u].stats;
-    out->sic_fallbacks += frame_fell_[u];
-  }
+  detect::reconstruct_frame_grid(frame_path_dets_, nv, *pool_, &frame_grid_,
+                                 out->results, &out->stats,
+                                 &out->sic_fallbacks);
   out->reconstruct_seconds = seconds_since(rec_t0);
   if (spans) {
     obs::record_span(obs::Stage::kReconstruct, rec_t0_ns, obs::now_ns(),
@@ -399,10 +374,7 @@ void UplinkPipeline::detect_frame(const FrameJob& job, FrameResult* out_ptr) {
     out.sum_active_paths += static_cast<double>(frame_dets_[f]->parallel_tasks());
   }
 
-  if (nv > 0 && !try_typed_frame<core::FlexCoreDetector>(job, &out) &&
-      !try_typed_frame<detect::FcsdDetector>(job, &out)) {
-    generic_frame(job, &out);
-  }
+  if (nv > 0 && !path_frame(job, &out)) generic_frame(job, &out);
 
   if (out.sic_fallbacks > 0) {
     obs::counter_add(obs::Counter::kSicFallbacks, out.sic_fallbacks);

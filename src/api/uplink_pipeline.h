@@ -14,8 +14,8 @@
 //   detect::BatchResult batch = pipe.detect(ys);   // thread-pool task grid
 //
 // The pipeline attaches its pool to the detector, so detect() routes
-// through the path-parallel detect_batch overrides where they exist and
-// the sequential loop otherwise.
+// through the path-parallel detectors' pooled detect_batch where it exists
+// and the sequential loop otherwise.
 //
 // For whole OFDM frames the per-channel lifecycle is superseded by frame
 // jobs: detect_frame(FrameJob) preprocesses every subcarrier channel in
@@ -43,7 +43,6 @@
 #include "core/flexcore_detector.h"
 #include "detect/detector.h"
 #include "detect/path_grid.h"
-#include "detect/workspace.h"
 #include "modulation/constellation.h"
 #include "obs/obs.h"
 #include "parallel/thread_pool.h"
@@ -64,15 +63,9 @@ struct PipelineConfig {
   /// a pool and run concurrently (the pool multiplexes their grids).
   parallel::ThreadPool* shared_pool = nullptr;
   /// Detector tuning forwarded to api::make_detector.  Its `constellation`
-  /// field is ignored — the pipeline owns the constellation.
+  /// field is ignored — the pipeline owns the constellation.  The compute
+  /// tier is part of the spec (":i16"), not of the tuning.
   DetectorConfig tuning;
-  /// Compute tier of the session's path grids (detect/path_kernels.h).
-  /// kFloat32 selects the single-precision kernel tier and kInt16 the
-  /// quantized int16 tier end-to-end (the knob is folded into
-  /// `tuning.precision` at construction, so it also covers frame-detector
-  /// clones and later reconfigure calls); a spec suffix
-  /// (":fp32"/":fp64"/":i16") still overrides per detector.
-  detect::Precision precision = detect::Precision::kFloat64;
 };
 
 /// One frame's worth of detection work: every data subcarrier's channel
@@ -210,9 +203,9 @@ class UplinkPipeline {
   /// Results are bit-identical to looping set_channel + detect over the
   /// same data.  Independent of set_channel (the single-channel state is
   /// untouched); counts channels/vectors toward the session counters.
-  /// Path-parallel detectors (flexcore / a-flexcore / fcsd families) run
-  /// the fused grid; other detectors fall back to per-subcarrier
-  /// detect_batch after the parallel preprocessing.
+  /// Path-parallel detectors (detect::PathDetector: the flexcore /
+  /// a-flexcore / fcsd families) run the fused grid; other detectors fall
+  /// back to per-subcarrier detect_batch after the parallel preprocessing.
   FrameResult detect_frame(const FrameJob& job);
 
   /// Buffer-reusing overload: writes into `*out`, whose buffers are resized
@@ -275,8 +268,7 @@ class UplinkPipeline {
  private:
   void require_channel(const char* where) const;
   void ensure_frame_detectors(std::size_t count);
-  template <typename D>
-  bool try_typed_frame(const FrameJob& job, FrameResult* out);
+  bool path_frame(const FrameJob& job, FrameResult* out);
   void generic_frame(const FrameJob& job, FrameResult* out);
 
   PipelineConfig cfg_;
@@ -291,21 +283,16 @@ class UplinkPipeline {
   detect::DetectionStats total_stats_;
 
   // Frame-job state, reused across detect_frame calls: per-subcarrier
-  // detector clones (each caches its channel's QR + path selection), the
-  // flat grid buffers and the per-worker scratch arenas.
+  // detector clones (each caches its channel's QR + path selection) and
+  // the grid buffers with their reconstruction scratch.
   std::vector<std::unique_ptr<detect::Detector>> frame_dets_;
   std::size_t frame_ready_channels_ = 0;  // clones with installed channels
   std::size_t frame_ready_rows_ = 0;      // geometry those installs used —
   std::size_t frame_ready_cols_ = 0;      // reuse only on an exact match
   detect::FrameGridOutput frame_grid_;
-  detect::WorkspaceBank workspaces_;
-  std::vector<std::uint8_t> frame_fell_;
-  // Per-call scratch of try_typed_frame, hoisted so steady-state frames
-  // reuse its capacity: the typed clone pointers (stored type-erased; the
-  // template reads them back as the D* it stored) and per-subcarrier path
-  // counts.
-  std::vector<const void*> frame_typed_;
-  std::vector<std::size_t> frame_paths_;
+  // Per-call scratch of path_frame, hoisted so steady-state frames reuse
+  // its capacity: the clones viewed as path detectors.
+  std::vector<const detect::PathDetector*> frame_path_dets_;
 };
 
 }  // namespace flexcore::api

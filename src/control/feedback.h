@@ -19,13 +19,11 @@
 //     re-solves to more paths; sustained clean windows bleed it off;
 //   * load shedding — sustained queue pressure degrades the budget by
 //     halving the path count per step; past max_degrade_steps the ladder
-//     sheds precision — first the ":fp32" kernel tier (a cheaper grid at
-//     full path coverage), then the ":i16" quantized tier (int16 block
-//     kernels with LUT-compiled slicing, the cheapest grid that still
-//     searches every path) — and only then swaps the detector family to
-//     the linear-complexity degrade_detector (graceful degradation
-//     instead of dropped frames); sustained slack restores one step at a
-//     time.
+//     sheds precision to the ":i16" quantized tier (int16 block kernels
+//     with LUT-compiled slicing, the cheapest grid that still searches
+//     every path) and only then swaps the detector family to the
+//     linear-complexity degrade_detector (graceful degradation instead of
+//     dropped frames); sustained slack restores one step at a time.
 #pragma once
 
 #include <cstddef>
@@ -70,19 +68,13 @@ struct ControlConfig {
   double load_low = 0.25;
   std::size_t degrade_after = 3;
   std::size_t restore_after = 8;
-  /// Halvings of the path budget before the terminal ladder rungs.  With
-  /// shed_precision (default), degrade step max_degrade_steps + 1 drops
-  /// the compute tier to fp32 (same spec + ":fp32" — the block kernels run
-  /// single precision, roughly halving grid cost without giving up the
-  /// path search), step max_degrade_steps + 2 drops it further to the
-  /// int16 quantized tier (same spec + ":i16" — fixed-point block kernels,
-  /// SER within detect::kI16SerTolerance of fp64), and step
-  /// max_degrade_steps + 3 is the family swap to degrade_detector.
-  /// Without it, step max_degrade_steps + 1 swaps directly.
+  /// Halvings of the path budget before the terminal ladder rungs: degrade
+  /// step max_degrade_steps + 1 drops the compute tier to int16 (same spec
+  /// + ":i16" — fixed-point block kernels, SER within
+  /// detect::kI16SerTolerance of fp64, without giving up the path search),
+  /// and step max_degrade_steps + 2 is the family swap to
+  /// degrade_detector.
   std::size_t max_degrade_steps = 3;
-  /// Insert the fp32 and i16 precision rungs between the last halving and
-  /// the family swap.
-  bool shed_precision = true;
   std::string degrade_detector = "zf-sic";
 };
 
@@ -140,12 +132,9 @@ class FeedbackLoop {
   std::optional<Decision> emit(const char* reason);
 
   /// Highest degrade step before the terminal family swap: the halvings
-  /// plus the fp32 and i16 rungs when enabled.  Shared by observe()
-  /// (step-counter bound) and emit() (spec selection) so the ladder shape
-  /// cannot drift.
-  std::size_t ladder_top() const noexcept {
-    return cfg_.max_degrade_steps + (cfg_.shed_precision ? 2 : 0);
-  }
+  /// plus the i16 rung.  Shared by observe() (step-counter bound) and
+  /// emit() (spec selection) so the ladder shape cannot drift.
+  std::size_t ladder_top() const noexcept { return cfg_.max_degrade_steps + 1; }
 
   const modulation::Constellation* c_;
   std::size_t nt_;

@@ -5,19 +5,16 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
 
-#include "detect/path_grid.h"
 #include "obs/obs.h"
-#include "parallel/thread_pool.h"
 
 namespace flexcore::core {
 
 FlexCoreDetector::FlexCoreDetector(const Constellation& c, FlexCoreConfig cfg)
-    : constellation_(&c), cfg_(cfg), lut_(c, cfg.lut_source) {
+    : PathDetector(c, cfg.precision), cfg_(cfg), lut_(c, cfg.lut_source) {
   if (cfg_.num_pes == 0) {
     throw std::invalid_argument("FlexCoreDetector: num_pes must be >= 1");
   }
@@ -33,7 +30,7 @@ std::string FlexCoreDetector::name() const {
 
 void FlexCoreDetector::set_channel(const CMat& h, double noise_var) {
   noise_var_ = noise_var;
-  qr_ = linalg::sorted_qr_wubben(h);
+  install_qr(linalg::sorted_qr_wubben(h));
 
   PreprocessingConfig pcfg;
   pcfg.num_paths = cfg_.num_pes;
@@ -46,47 +43,22 @@ void FlexCoreDetector::set_channel(const CMat& h, double noise_var) {
   active_paths_ = preproc_.paths.size();
 
   const std::size_t nt = qr_.R.cols();
-  const int q = constellation_->order();
   r_diag_inv_.resize(nt);
-  rx_.assign(nt, CVec(static_cast<std::size_t>(q)));
   for (std::size_t i = 0; i < nt; ++i) {
     r_diag_inv_[i] = cplx{1.0, 0.0} / qr_.R(i, i);
-    for (int x = 0; x < q; ++x) {
-      rx_[i][static_cast<std::size_t>(x)] = qr_.R(i, i) * constellation_->point(x);
-    }
   }
 
-  // Compile the selected path set into the block kernel's PathPlan (the
-  // configured precision tier only; the other tier's plan is dropped so
-  // stale state can never be evaluated).
+  // Compile the selected path set into the block kernel's plan.
   const bool exact = cfg_.ordering == OrderingMode::kExactSort;
-  if (cfg_.precision == detect::Precision::kInt16) {
-    plan16_.compile_flexcore(qr_.R, preproc_.paths, *constellation_, lut_,
-                             exact, cfg_.invalid_policy);
-    plan64_.clear();
-    plan32_.clear();
-  } else if (cfg_.precision == detect::Precision::kFloat32) {
-    plan32_.compile_flexcore(qr_.R, preproc_.paths, *constellation_, lut_,
-                             exact, cfg_.invalid_policy);
-    plan64_.clear();
-    plan16_.clear();
-  } else {
-    plan64_.compile_flexcore(qr_.R, preproc_.paths, *constellation_, lut_,
-                             exact, cfg_.invalid_policy);
-    plan32_.clear();
-    plan16_.clear();
-  }
+  compile_plan([&](auto& plan) {
+    plan.compile_flexcore(qr_.R, preproc_.paths, *constellation_, lut_, exact,
+                          cfg_.invalid_policy);
+  });
 }
 
 std::size_t FlexCoreDetector::active_paths() const { return active_paths_; }
 
 double FlexCoreDetector::active_pc_sum() const { return preproc_.pc_sum; }
-
-FLEXCORE_HOT_PATH
-void FlexCoreDetector::rotate_into(const CVec& y,
-                                   std::span<cplx> out) const {
-  linalg::hermitian_mul_into(qr_.Q, y, out);
-}
 
 FlexCoreDetector::PathEval FlexCoreDetector::evaluate_path(
     const CVec& ybar, std::size_t path_index) const {
@@ -225,13 +197,13 @@ bool FlexCoreDetector::reconstruct_winner(std::span<const cplx> ybar,
                                           detect::Workspace& ws,
                                           DetectionResult* res) const {
   // The double walk re-deriving the winner can disagree with the grid only
-  // in the reduced-precision tiers, where a decision that lands near a cell
-  // boundary can fall on the other side of it: the fp32 or int16 kernel may
-  // crown a path the exact walk deactivates, or deactivate every path the
-  // exact walk keeps.  Those vectors are rescued with one exact scalar
-  // rescan (the quantized grid already paid for the other 99%+); only when
-  // the exact scan also finds every path dead does the vector drop to plain
-  // SIC, exactly like the fp64 tier.
+  // in the int16 tier, where a decision that lands near a cell boundary can
+  // fall on the other side of it: the quantized kernel may crown a path the
+  // exact walk deactivates, or deactivate every path the exact walk keeps.
+  // Those vectors are rescued with one exact scalar rescan (the quantized
+  // grid already paid for the other 99%+); only when the exact scan also
+  // finds every path dead does the vector drop to plain SIC, exactly like
+  // the fp64 tier.
   bool fell = true;
   if (!std::isinf(best_metric) &&
       evaluate_path(ybar, best_path, ws, &res->metric, &res->stats)) {
@@ -240,12 +212,10 @@ bool FlexCoreDetector::reconstruct_winner(std::span<const cplx> ybar,
   } else {
     std::size_t rescue_path = 0;
     double rescue_metric = std::numeric_limits<double>::infinity();
-    if (cfg_.precision != detect::Precision::kFloat64) {
-      if (cfg_.precision == detect::Precision::kInt16) {
-        // One exact scalar rescan of every active path, rescuing an i16
-        // winner that fell on the wrong side of a quantization boundary.
-        obs::counter_add(obs::Counter::kI16BoundaryRescans);
-      }
+    if (precision_ == detect::Precision::kInt16) {
+      // One exact scalar rescan of every active path, rescuing an i16
+      // winner that fell on the wrong side of a quantization boundary.
+      obs::counter_add(obs::Counter::kI16BoundaryRescans);
       for (std::size_t p = 0; p < active_paths_; ++p) {
         const double m = path_metric(ybar, p);
         if (m < rescue_metric) {
@@ -269,60 +239,6 @@ bool FlexCoreDetector::reconstruct_winner(std::span<const cplx> ybar,
   // the steady-state reconstruction allocates nothing.
   linalg::unpermute_into(ws.symbols, qr_.perm, &res->symbols);
   return fell;
-}
-
-void FlexCoreDetector::detect_batch(std::span<const CVec> ys,
-                                    detect::BatchResult* out) const {
-  if (pool_ == nullptr || active_paths_ == 0 || ys.empty()) {
-    // Sequential loop with the base-class contract (full per-path
-    // instrumentation, tasks = vector count), but with the SIC-fallback
-    // counter kept consistent with the pooled grid path.
-    out->results.clear();
-    out->results.reserve(ys.size());
-    out->stats = DetectionStats{};
-    out->sic_fallbacks = 0;
-    out->tasks = ys.size();
-    const auto t0 = std::chrono::steady_clock::now();
-    for (const CVec& y : ys) {
-      bool fell = false;
-      out->results.push_back(reduce(rotate(y), nullptr, &fell));
-      out->stats += out->results.back().stats;
-      out->sic_fallbacks += fell;
-    }
-    out->elapsed_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    return;
-  }
-  const std::size_t nv = ys.size();
-  detect::run_path_grid(*this, active_paths_, ys, qr_.R.cols(), *pool_,
-                        &grid_);
-
-  out->results.assign(nv, DetectionResult{});
-  out->stats = DetectionStats{};
-  out->sic_fallbacks = 0;
-  out->tasks = grid_.tasks;
-  out->elapsed_seconds = grid_.elapsed_seconds;
-
-  // Winner reconstruction: one instrumented path walk per vector (the grid
-  // itself runs the metric-only block kernel), plus the SIC fallback for
-  // vectors whose every path was deactivated — the caller-level policy the
-  // raw task grid historically punted on.
-  fell_.assign(nv, 0);
-  workspaces_.ensure(pool_->size());
-  pool_->parallel_for_worker(nv, [&](std::size_t w, std::size_t v) {
-    fell_[v] = reconstruct_winner(grid_.ybar(v), grid_.best_path[v],
-                                  grid_.best_metric[v], workspaces_.at(w),
-                                  &out->results[v]);
-  });
-  for (std::size_t v = 0; v < nv; ++v) {
-    out->stats += out->results[v].stats;
-    out->sic_fallbacks += fell_[v];
-  }
-}
-
-DetectionResult FlexCoreDetector::detect(const CVec& y) const {
-  return reduce(rotate(y), nullptr);
 }
 
 SoftOutput FlexCoreDetector::detect_soft(const CVec& y) const {

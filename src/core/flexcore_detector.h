@@ -11,10 +11,10 @@
 //
 // The per-path work (evaluate_path) is pure and thread-safe, so callers can
 // fan the paths out across any execution resource; detect() runs them
-// sequentially, detect_batch fans the single-channel grid across a thread
-// pool, and api::UplinkPipeline::detect_frame runs whole OFDM frames as one
-// multi-channel grid the way the paper maps tasks onto GPU threads / FPGA
-// engines.
+// sequentially, while the shared path-detector machinery
+// (detect/path_detector.h) runs detect_batch and
+// api::UplinkPipeline::detect_frame as one flat grid the way the paper maps
+// tasks onto GPU threads / FPGA engines.
 #pragma once
 
 #include <optional>
@@ -22,11 +22,8 @@
 
 #include "core/ordering_lut.h"
 #include "core/preprocessing.h"
-#include "detect/detector.h"
-#include "detect/path_grid.h"
-#include "detect/path_kernels.h"
+#include "detect/path_detector.h"
 #include "detect/workspace.h"
-#include "linalg/qr.h"
 
 namespace flexcore::core {
 
@@ -63,11 +60,11 @@ struct FlexCoreConfig {
   /// Pre-processing nodes expanded per round (1 = sequential).
   std::size_t batch_expand = 1;
   /// Compute tier of the path grids (detect/path_kernels.h): kFloat64 is
-  /// bit-identical to the scalar kernels; kFloat32 evaluates the block
-  /// kernel in single precision (spec suffix ":fp32"); kInt16 runs the
-  /// quantized fixed-point kernel (spec suffix ":i16", accuracy bounded by
+  /// bit-identical to the scalar kernels; kInt16 runs the quantized
+  /// fixed-point kernel (spec suffix ":i16", accuracy bounded by
   /// detect::kI16SerTolerance).  Winner reconstruction and the sequential
-  /// detect() path stay double in every tier.
+  /// detect() path stay double in both tiers.  The registry sets it from
+  /// the spec suffix alone.
   detect::Precision precision = detect::Precision::kFloat64;
 };
 
@@ -82,23 +79,11 @@ struct SoftOutput {
   static constexpr double kLlrClip = 50.0;
 };
 
-class FlexCoreDetector : public Detector {
+class FlexCoreDetector : public detect::PathDetector {
  public:
   FlexCoreDetector(const Constellation& c, FlexCoreConfig cfg);
 
   void set_channel(const CMat& h, double noise_var) override;
-  DetectionResult detect(const CVec& y) const override;
-
-  /// Batched detection over the attached thread pool: fans the flat
-  /// vector x path grid (paper §4) across the pool, reconstructs the
-  /// winning path per vector, and applies the SIC fallback to vectors
-  /// whose every path was deactivated.  Symbols and metrics are identical
-  /// to per-vector detect(); see detect::BatchResult for the stats
-  /// contract.  Without an attached pool this falls back to the
-  /// sequential base-class loop.
-  void detect_batch(std::span<const CVec> ys,
-                    detect::BatchResult* out) const override;
-  void set_thread_pool(parallel::ThreadPool* pool) override { pool_ = pool; }
 
   std::string name() const override;
   std::size_t parallel_tasks() const override { return active_paths(); }
@@ -113,17 +98,6 @@ class FlexCoreDetector : public Detector {
   /// Pre-processing output for the current channel (selected position
   /// vectors, Pe values, multiplication counts).
   const PreprocessingResult& preprocessing() const { return preproc_; }
-
-  /// Writes ybar = Q^H y into `out` without allocating.  out.size() must be
-  /// Nt (= R.cols()).
-  void rotate_into(const CVec& y, std::span<linalg::cplx> out) const;
-
-  /// Rotates y into tree-search coordinates (ybar = Q^H y).
-  CVec rotate(const CVec& y) const {
-    CVec out(qr_.R.cols());
-    rotate_into(y, out);
-    return out;
-  }
 
   /// Result of walking one path; `valid` is false when a LUT entry pointed
   /// outside the constellation and the policy deactivated the PE.
@@ -145,62 +119,32 @@ class FlexCoreDetector : public Detector {
                      std::size_t path_index, detect::Workspace& ws,
                      double* metric, DetectionStats* stats) const;
 
-  /// Metric-only path walk for the hot loop of the task grids: no
-  /// allocation, no instrumentation.  Returns +infinity for deactivated
-  /// paths.  Requires Nt <= 32.  Always full (double) precision.
+  /// Metric-only scalar path walk, the fp64 oracle of the block kernel
+  /// and the exact rescan of reconstruct_winner: no allocation, no
+  /// instrumentation.  Returns +infinity for deactivated paths.  Requires
+  /// Nt <= 32.
   double path_metric(std::span<const linalg::cplx> ybar,
                      std::size_t path_index) const;
 
-  /// Lane-parallel block kernel: metrics of paths [first_path,
-  /// first_path + n_paths) in one call, through the PathPlan compiled by
-  /// set_channel in the configured precision tier.  At kFloat64 the
-  /// metrics are bit-identical to path_metric per path; at kFloat32 the
-  /// grid runs single precision.  Thread-safe, allocation-free.
-  void path_metric_block(std::span<const linalg::cplx> ybar,
-                         std::size_t first_path, std::size_t n_paths,
-                         double* out_metrics) const {
-    if (cfg_.precision == detect::Precision::kInt16) {
-      plan16_.path_metric_block(ybar, first_path, n_paths, out_metrics);
-    } else if (cfg_.precision == detect::Precision::kFloat32) {
-      plan32_.path_metric_block(ybar, first_path, n_paths, out_metrics);
-    } else {
-      plan64_.path_metric_block(ybar, first_path, n_paths, out_metrics);
-    }
-  }
-
-  /// Heap footprint of the compiled plan of the configured tier (the
-  /// number the precision ladder halves; reported by bench/micro_kernels).
-  std::size_t plan_footprint_bytes() const {
-    switch (cfg_.precision) {
-      case detect::Precision::kInt16: return plan16_.footprint_bytes();
-      case detect::Precision::kFloat32: return plan32_.footprint_bytes();
-      default: return plan64_.footprint_bytes();
-    }
-  }
-
-  /// The quantized plan of the current channel (compiled only when the
-  /// configured precision is kInt16) — quantization introspection for
-  /// tests and benches.
-  const detect::PathPlanI16& plan_i16() const noexcept { return plan16_; }
-
-  /// Builds the final DetectionResult of one vector from a grid verdict
-  /// (run_path_grid / run_frame_grid): an instrumented walk of the winning
-  /// path, or the plain-SIC fallback when `best_metric` is +infinity (every
-  /// path deactivated).  Symbols come back in ORIGINAL antenna order.
-  /// Returns true when the fallback fired.  Scratch lives in `ws`.
+  /// Walks the grid's winning path.  In the i16 tier, when the grid found
+  /// every path dead or crowned a path the exact walk deactivates, one
+  /// exact scalar rescan rescues the vector before the plain-SIC fallback.
   bool reconstruct_winner(std::span<const linalg::cplx> ybar,
                           std::size_t best_path, double best_metric,
-                          detect::Workspace& ws, DetectionResult* res) const;
+                          detect::Workspace& ws,
+                          DetectionResult* res) const override;
 
   /// Hard detection + list-based max-log LLRs (soft extension).
   SoftOutput detect_soft(const CVec& y) const;
 
-  const linalg::QrResult& qr() const noexcept { return qr_; }
   const FlexCoreConfig& config() const noexcept { return cfg_; }
-  const Constellation& constellation() const noexcept { return *constellation_; }
   const OrderingLut& lut() const noexcept { return lut_; }
 
  private:
+  DetectionResult detect_rotated(const CVec& ybar, bool* fell) const override {
+    return reduce(ybar, nullptr, fell);
+  }
+
   /// Sequential reduction over all active paths; sets *fell (when given) if
   /// every path was deactivated and the SIC fallback produced the result.
   DetectionResult reduce(const CVec& ybar, std::vector<PathEval>* keep_all,
@@ -213,28 +157,12 @@ class FlexCoreDetector : public Detector {
   void sic_fallback_into(std::span<const linalg::cplx> ybar,
                          detect::Workspace& ws, DetectionResult* res) const;
 
-  const Constellation* constellation_;
-  parallel::ThreadPool* pool_ = nullptr;
   FlexCoreConfig cfg_;
   OrderingLut lut_;
-  linalg::QrResult qr_;
   PreprocessingResult preproc_;
   std::size_t active_paths_ = 0;
   double noise_var_ = 1.0;
-  CVec r_diag_inv_;        // 1 / R(i,i)
-  std::vector<CVec> rx_;   // rx_[i][x] = R(i,i) * point(x)
-  // Compiled path plans for the block kernel (only the configured
-  // precision tier is compiled per set_channel).
-  detect::PathPlan plan64_;
-  detect::PathPlanF plan32_;
-  detect::PathPlanI16 plan16_;
-  // Per-worker reconstruction scratch plus the reusable grid output, kept
-  // across detect_batch calls so repeated per-subcarrier batches stay at
-  // their high-water mark (zero steady-state allocations).  Guarded by the
-  // detect_batch contract (one driver thread at a time).
-  mutable detect::WorkspaceBank workspaces_;
-  mutable detect::PathGridOutput grid_;
-  mutable std::vector<std::uint8_t> fell_;
+  CVec r_diag_inv_;  // 1 / R(i,i)
 };
 
 }  // namespace flexcore::core

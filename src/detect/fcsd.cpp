@@ -5,9 +5,7 @@
 #include <limits>
 #include <stdexcept>
 
-#include "detect/path_grid.h"
 #include "parallel/hot_path.h"
-#include "parallel/thread_pool.h"
 
 namespace flexcore::detect {
 
@@ -15,30 +13,10 @@ void FcsdDetector::set_channel(const CMat& h, double /*noise_var*/) {
   if (full_levels_ > h.cols()) {
     throw std::invalid_argument("FcsdDetector: full_levels > Nt");
   }
-  qr_ = linalg::fcsd_sorted_qr(h, full_levels_);
-  const std::size_t nt = qr_.R.cols();
-  const int q = constellation_->order();
-  rx_.assign(nt, CVec(static_cast<std::size_t>(q)));
-  for (std::size_t i = 0; i < nt; ++i) {
-    for (int x = 0; x < q; ++x) {
-      rx_[i][static_cast<std::size_t>(x)] = qr_.R(i, i) * constellation_->point(x);
-    }
-  }
-
-  // Compile the block-kernel plan in the configured precision tier.
-  if (precision_ == Precision::kInt16) {
-    plan16_.compile_fcsd(qr_.R, full_levels_, *constellation_);
-    plan64_.clear();
-    plan32_.clear();
-  } else if (precision_ == Precision::kFloat32) {
-    plan32_.compile_fcsd(qr_.R, full_levels_, *constellation_);
-    plan64_.clear();
-    plan16_.clear();
-  } else {
-    plan64_.compile_fcsd(qr_.R, full_levels_, *constellation_);
-    plan32_.clear();
-    plan16_.clear();
-  }
+  install_qr(linalg::fcsd_sorted_qr(h, full_levels_));
+  compile_plan([&](auto& plan) {
+    plan.compile_fcsd(qr_.R, full_levels_, *constellation_);
+  });
 }
 
 std::size_t FcsdDetector::num_paths() const {
@@ -47,11 +25,6 @@ std::size_t FcsdDetector::num_paths() const {
     n *= static_cast<std::size_t>(constellation_->order());
   }
   return n;
-}
-
-FLEXCORE_HOT_PATH
-void FcsdDetector::rotate_into(const CVec& y, std::span<cplx> out) const {
-  linalg::hermitian_mul_into(qr_.Q, y, out);
 }
 
 FcsdDetector::PathEval FcsdDetector::evaluate_path(const CVec& ybar,
@@ -154,8 +127,8 @@ double FcsdDetector::path_metric(std::span<const cplx> ybar,
   return metric;
 }
 
-DetectionResult FcsdDetector::detect(const CVec& y) const {
-  const CVec ybar = rotate(y);
+DetectionResult FcsdDetector::detect_rotated(const CVec& ybar,
+                                             bool* fell) const {
   const std::size_t paths = num_paths();
 
   DetectionResult res;
@@ -170,33 +143,8 @@ DetectionResult FcsdDetector::detect(const CVec& y) const {
   }
   res.symbols = linalg::unpermute(res.symbols, qr_.perm);
   res.stats.paths_evaluated = paths;
+  *fell = false;  // every FCSD path is always valid
   return res;
-}
-
-void FcsdDetector::detect_batch(std::span<const CVec> ys,
-                                BatchResult* out) const {
-  const std::size_t paths = num_paths();
-  if (pool_ == nullptr || paths == 0 || ys.empty()) {
-    Detector::detect_batch(ys, out);
-    return;
-  }
-  const std::size_t nv = ys.size();
-  run_path_grid(*this, paths, ys, qr_.R.cols(), *pool_, &grid_);
-
-  out->results.assign(nv, DetectionResult{});
-  out->stats = DetectionStats{};
-  out->sic_fallbacks = 0;  // every FCSD path is always valid
-  out->tasks = grid_.tasks;
-  out->elapsed_seconds = grid_.elapsed_seconds;
-
-  // Winner reconstruction: one instrumented path walk per vector (the grid
-  // itself runs the metric-only block kernel).
-  workspaces_.ensure(pool_->size());
-  pool_->parallel_for_worker(nv, [&](std::size_t w, std::size_t v) {
-    reconstruct_winner(grid_.ybar(v), grid_.best_path[v], grid_.best_metric[v],
-                       workspaces_.at(w), &out->results[v]);
-  });
-  for (const DetectionResult& res : out->results) out->stats += res.stats;
 }
 
 }  // namespace flexcore::detect

@@ -10,35 +10,22 @@
 
 #include <span>
 
-#include "detect/detector.h"
-#include "detect/path_grid.h"
-#include "detect/path_kernels.h"
+#include "detect/path_detector.h"
 #include "detect/workspace.h"
-#include "linalg/qr.h"
 
 namespace flexcore::detect {
 
-class FcsdDetector : public Detector {
+class FcsdDetector : public PathDetector {
  public:
   /// `full_levels` = L, the number of fully-expanded levels (1 or 2 in the
   /// paper's evaluation).  `precision` selects the compute tier of the
-  /// path grids (spec suffix ":fp32" or ":i16"); everything outside the
-  /// grid stays double.
+  /// path grids (spec suffix ":i16"); everything outside the grid stays
+  /// double.
   FcsdDetector(const Constellation& c, std::size_t full_levels,
                Precision precision = Precision::kFloat64)
-      : constellation_(&c), full_levels_(full_levels), precision_(precision) {}
+      : PathDetector(c, precision), full_levels_(full_levels) {}
 
   void set_channel(const CMat& h, double noise_var) override;
-  DetectionResult detect(const CVec& y) const override;
-
-  /// Batched detection over the attached thread pool: fans the flat
-  /// vector x path grid (all |Q|^L paths per vector) across the pool and
-  /// reconstructs the winning path per vector.  Symbols and metrics are
-  /// identical to per-vector detect(); without an attached pool this falls
-  /// back to the sequential base-class loop.
-  void detect_batch(std::span<const CVec> ys,
-                    BatchResult* out) const override;
-  void set_thread_pool(parallel::ThreadPool* pool) override { pool_ = pool; }
 
   std::string name() const override {
     return "fcsd-L" + std::to_string(full_levels_) +
@@ -49,17 +36,6 @@ class FcsdDetector : public Detector {
   /// |Q|^L — the number of independent paths / required PEs.
   std::size_t num_paths() const;
   std::size_t full_levels() const noexcept { return full_levels_; }
-
-  /// Writes ybar = Q^H y into `out` without allocating.  out.size() must be
-  /// Nt (= R.cols()).
-  void rotate_into(const CVec& y, std::span<linalg::cplx> out) const;
-
-  /// Rotates a received vector into the tree-search domain (ybar = Q^H y).
-  CVec rotate(const CVec& y) const {
-    CVec out(qr_.R.cols());
-    rotate_into(y, out);
-    return out;
-  }
 
   /// Evaluation of a single FCSD path, the unit of parallel work.
   struct PathEval {
@@ -80,68 +56,22 @@ class FcsdDetector : public Detector {
                      std::size_t path_index, detect::Workspace& ws,
                      double* metric, DetectionStats* stats) const;
 
-  /// Metric-only path walk (no allocation / instrumentation) for the
-  /// task grids' hot loop.  Requires Nt <= 32.  Always double precision.
+  /// Metric-only scalar path walk (no allocation / instrumentation), the
+  /// fp64 oracle of the block kernel.  Requires Nt <= 32.
   double path_metric(std::span<const linalg::cplx> ybar,
                      std::size_t path_index) const;
 
-  /// Lane-parallel block kernel over the PathPlan compiled by set_channel
-  /// (the configured precision tier).  Bit-identical to path_metric per
-  /// path at kFloat64.  Thread-safe, allocation-free.
-  void path_metric_block(std::span<const linalg::cplx> ybar,
-                         std::size_t first_path, std::size_t n_paths,
-                         double* out_metrics) const {
-    if (precision_ == Precision::kInt16) {
-      plan16_.path_metric_block(ybar, first_path, n_paths, out_metrics);
-    } else if (precision_ == Precision::kFloat32) {
-      plan32_.path_metric_block(ybar, first_path, n_paths, out_metrics);
-    } else {
-      plan64_.path_metric_block(ybar, first_path, n_paths, out_metrics);
-    }
-  }
-
-  Precision precision() const noexcept { return precision_; }
-
-  /// Heap footprint of the compiled plan of the configured tier.
-  std::size_t plan_footprint_bytes() const {
-    switch (precision_) {
-      case Precision::kInt16: return plan16_.footprint_bytes();
-      case Precision::kFloat32: return plan32_.footprint_bytes();
-      default: return plan64_.footprint_bytes();
-    }
-  }
-
-  /// The quantized plan of the current channel (compiled only when the
-  /// configured precision is kInt16).
-  const PathPlanI16& plan_i16() const noexcept { return plan16_; }
-
-  /// Builds the final DetectionResult of one vector from a grid verdict:
-  /// an instrumented walk of the winning path, symbols in ORIGINAL antenna
-  /// order.  Always returns false (FCSD has no fallback).  Scratch in `ws`.
+  /// Walks the grid's winning path.  Always returns false (FCSD has no
+  /// fallback).
   bool reconstruct_winner(std::span<const linalg::cplx> ybar,
                           std::size_t best_path, double best_metric,
-                          detect::Workspace& ws, DetectionResult* res) const;
-
-  const linalg::QrResult& qr() const noexcept { return qr_; }
+                          detect::Workspace& ws,
+                          DetectionResult* res) const override;
 
  private:
-  const Constellation* constellation_;
+  DetectionResult detect_rotated(const CVec& ybar, bool* fell) const override;
+
   std::size_t full_levels_;
-  Precision precision_;
-  parallel::ThreadPool* pool_ = nullptr;
-  linalg::QrResult qr_;
-  std::vector<CVec> rx_;  // rx_[i][x] = R(i,i) * point(x)
-  // Compiled path plans for the block kernel (only the configured
-  // precision tier is compiled per set_channel).
-  PathPlan plan64_;
-  PathPlanF plan32_;
-  PathPlanI16 plan16_;
-  // Per-worker reconstruction scratch plus the reusable grid output, kept
-  // across detect_batch calls so repeated per-subcarrier batches stay at
-  // their high-water mark (zero steady-state allocations).  Guarded by the
-  // detect_batch contract (one driver thread at a time).
-  mutable detect::WorkspaceBank workspaces_;
-  mutable PathGridOutput grid_;
 };
 
 }  // namespace flexcore::detect

@@ -1,171 +1,62 @@
-// The flat task grids at the heart of FlexCore's parallel detection (paper
+// The flat task grid at the heart of FlexCore's parallel detection (paper
 // §4): the GPU implementation generates Nsc * |E| threads (FlexCore) or
-// Nsc * |Q|^L threads (FCSD); here the same grids are executed by a
+// Nsc * |Q|^L threads (FCSD); here the same grid is executed by a
 // ThreadPool, with each task scanning its paths through the lane-parallel
-// block kernel (detect/path_kernels.h) where the detector provides one.
+// block kernel (detect/path_kernels.h).
 //
-// Two granularities are provided:
-//  * run_path_grid  — the single-channel (vector x path) grid behind
-//    Detector::detect_batch; the Fig. 11 benchmark times exactly this grid.
-//  * run_frame_grid — the multi-channel (subcarrier x vector x path) grid
-//    behind api::UplinkPipeline::detect_frame: one flat job covering every
-//    subcarrier of an OFDM frame.
+// One grid serves every caller: run_frame_grid runs the (subcarrier x
+// vector x path) grid of an OFDM frame behind
+// api::UplinkPipeline::detect_frame, and a single channel is the nsc = 1
+// case behind PathDetector::detect_batch (the Fig. 11 benchmark times
+// exactly that grid).  reconstruct_frame_grid then turns the grid's
+// verdicts into DetectionResults.
 //
-// Both grids write into caller-owned output structs whose buffers are
-// resized, never shrunk, so steady-state runs perform zero heap
-// allocations (verified by the operator-new-counting tests in
-// tests/frame_test.cpp).
+// Both write into a caller-owned FrameGridOutput whose buffers are resized,
+// never shrunk, so steady-state runs perform zero heap allocations
+// (verified by the operator-new-counting tests in tests/frame_test.cpp).
 #pragma once
 
-#include <chrono>
-#include <concepts>
 #include <cstddef>
-#include <limits>
+#include <cstdint>
 #include <span>
 #include <vector>
 
+#include "detect/detector.h"
+#include "detect/workspace.h"
 #include "linalg/simd.h"
 #include "linalg/types.h"
-#include "parallel/hot_path.h"
 #include "parallel/thread_pool.h"
 
 namespace flexcore::detect {
 
-/// A detector whose per-vector work decomposes into independent fixed
-/// paths, with allocation-free span kernels: rotate_into writes ybar = Q^H y
-/// into a caller buffer and path_metric scores one path of a rotated
-/// vector.
-template <typename D>
-concept PathParallelDetector = requires(const D& d, const linalg::CVec& y,
-                                        std::span<linalg::cplx> out,
-                                        std::span<const linalg::cplx> ybar,
-                                        std::size_t i) {
-  d.rotate_into(y, out);
-  { d.path_metric(ybar, i) } -> std::convertible_to<double>;
-};
-
-/// A path-parallel detector that additionally exposes the lane-parallel
-/// block kernel (detect/path_kernels.h): path_metric_block scores a whole
-/// block of paths per call.  The grids use it automatically.
-template <typename D>
-concept BlockKernelDetector =
-    PathParallelDetector<D> &&
-    requires(const D& d, std::span<const linalg::cplx> ybar, std::size_t i,
-             double* out) {
-      d.path_metric_block(ybar, i, i, out);
-    };
+class PathDetector;
 
 /// Paths per block-kernel call.  Sized for the widest tier: the int16
 /// quantized plans evaluate a FUSED PAIR of 16-lane blocks per kernel call
 /// (2 x kSimdLanesI16 = 32 paths — adjacent blocks share every per-level
-/// scalar broadcast), and the fp plans accept any range (they re-block
+/// scalar broadcast), and the fp64 plan accepts any range (it re-blocks
 /// internally), so scanning at this width never double-evaluates a block
-/// in any tier and leaves the fp64 min-reduction order — hence its
+/// in either tier and leaves the fp64 min-reduction order — hence its
 /// bit-exact results — unchanged.
 inline constexpr std::size_t kPathBlockLanes = 2 * linalg::kSimdLanesI16;
 
-/// Scans paths [0, num_paths) of one rotated vector, tracking the minimum
-/// inline (strict <, first index wins — the sequential reduction's
-/// tie-break, so results are bit-identical at any thread count and block
-/// width).  Uses the block kernel when the detector has one.
-template <typename D>
-FLEXCORE_HOT_PATH
-inline void scan_paths(const D& det, std::span<const linalg::cplx> ybar,
-                       std::size_t num_paths, std::size_t* best_path,
-                       double* best_metric) {
-  double best = std::numeric_limits<double>::infinity();
-  std::size_t best_p = 0;
-  if constexpr (BlockKernelDetector<D>) {
-    double m[kPathBlockLanes];
-    for (std::size_t p = 0; p < num_paths; p += kPathBlockLanes) {
-      const std::size_t n = std::min(kPathBlockLanes, num_paths - p);
-      det.path_metric_block(ybar, p, n, m);
-      for (std::size_t k = 0; k < n; ++k) {
-        if (m[k] < best) {
-          best = m[k];
-          best_p = p + k;
-        }
-      }
-    }
-  } else {
-    for (std::size_t p = 0; p < num_paths; ++p) {
-      const double m = det.path_metric(ybar, p);
-      if (m < best) {
-        best = m;
-        best_p = p;
-      }
-    }
-  }
-  *best_path = best_p;
-  *best_metric = best;
-}
+/// Scans paths [0, num_paths) of one rotated vector through the detector's
+/// block kernel, tracking the minimum inline (strict <, first index wins —
+/// the sequential reduction's tie-break, so results are bit-identical at
+/// any thread count and block width).
+void scan_paths(const PathDetector& det, std::span<const linalg::cplx> ybar,
+                std::size_t num_paths, std::size_t* best_path,
+                double* best_metric);
 
-/// Output of one single-channel task-grid run.  Rotated inputs live in one
-/// flat buffer, nt per vector; buffers are resized, never shrunk, so
-/// reusing the same PathGridOutput across batches of equal (or smaller)
-/// shape performs no allocation at all.
+/// Output and scratch of one frame-grid run.  "Unit" u = f * nv + t is the
+/// (subcarrier f, vector t) pair, subcarrier-major — the same layout as the
+/// input vectors.  Buffers are resized, never shrunk, so reusing the same
+/// FrameGridOutput across frames of equal (or smaller) shape performs no
+/// allocation at all.
 ///
-/// A best_metric of +infinity means every path of that vector was
-/// deactivated (FlexCore's out-of-constellation policy).  The grid itself
-/// intentionally does not replicate the SIC-fallback policy; callers that
-/// need full DetectionResults should go through Detector::detect_batch,
-/// which applies it.
-struct PathGridOutput {
-  // flexcore-lint: allow-next-line(HP005) documented AoS handoff to detectors
-  std::vector<linalg::cplx> ybars;     ///< flat rotated inputs, nt per vector
-  std::vector<std::size_t> best_path;  ///< winning path index per vector
-  std::vector<double> best_metric;     ///< its Euclidean distance
-  std::size_t nt = 0;                  ///< levels per rotated vector
-  double elapsed_seconds = 0.0;        ///< wall-clock of the task grid
-  std::size_t tasks = 0;               ///< vectors * paths
-
-  std::span<const linalg::cplx> ybar(std::size_t v) const {
-    return {ybars.data() + v * nt, nt};
-  }
-};
-
-/// Runs the full vector x path grid for a batch of received vectors (all
-/// sharing the channel installed in `det`, whose R has `nt` columns) across
-/// `pool`.  Each task rotates its vector into the flat ybar buffer and
-/// scans its paths with the min-reduction folded inline (the paper's
-/// pipelined minimum tree) — steady-state tasks allocate nothing.
-template <PathParallelDetector D>
-FLEXCORE_HOT_PATH
-void run_path_grid(const D& det, std::size_t num_paths,
-                   std::span<const linalg::CVec> ys, std::size_t nt,
-                   parallel::ThreadPool& pool, PathGridOutput* out) {
-  const std::size_t nv = ys.size();
-  out->nt = nt;
-  out->tasks = nv * num_paths;
-  // flexcore-lint: allow-next-line(HP001) warm-capacity reuse, never shrunk
-  out->ybars.resize(nv * nt);
-  // flexcore-lint: allow-next-line(HP001) warm-capacity reuse, never shrunk
-  out->best_path.assign(nv, 0);
-  // flexcore-lint: allow-next-line(HP001) warm-capacity reuse, never shrunk
-  out->best_metric.assign(nv, std::numeric_limits<double>::infinity());
-  if (nv == 0 || num_paths == 0) {
-    out->elapsed_seconds = 0.0;
-    return;
-  }
-
-  // Rotation (ybar = Q^H y) is part of the measured work, as in the paper's
-  // kernel timing.
-  const auto t0 = std::chrono::steady_clock::now();
-  pool.parallel_for(nv, [&](std::size_t v) {
-    const std::span<linalg::cplx> ybar{out->ybars.data() + v * nt, nt};
-    det.rotate_into(ys[v], ybar);
-    scan_paths(det, std::span<const linalg::cplx>(ybar), num_paths,
-               &out->best_path[v], &out->best_metric[v]);
-  });
-  out->elapsed_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
-
-/// Output of one multi-channel frame-grid run.  "Unit" u = f * nv + t is
-/// the (subcarrier f, vector t) pair, subcarrier-major — the same layout as
-/// the input vectors.  Buffers are resized, never shrunk, so reusing the
-/// same FrameGridOutput across frames of equal (or smaller) shape performs
-/// no allocation at all.
+/// A best_metric of +infinity means every path of that unit was
+/// deactivated (FlexCore's out-of-constellation policy);
+/// reconstruct_frame_grid applies the SIC fallback to such units.
 struct FrameGridOutput {
   // flexcore-lint: allow-next-line(HP005) documented AoS handoff to detectors
   std::vector<linalg::cplx> ybars;     ///< flat rotated inputs, nt per unit
@@ -175,54 +66,38 @@ struct FrameGridOutput {
   std::size_t tasks = 0;               ///< sum over subcarriers of nv * paths
   double elapsed_seconds = 0.0;        ///< wall-clock of the task grid
 
+  // Reconstruction scratch: per-worker arenas and per-unit fallback flags.
+  WorkspaceBank workspaces;
+  std::vector<std::uint8_t> fell;
+
   std::span<const linalg::cplx> ybar(std::size_t unit) const {
     return {ybars.data() + unit * nt, nt};
   }
 };
 
 /// Runs the subcarrier x vector x path grid of one frame: `dets[f]` is the
-/// per-subcarrier detector (channel already installed) evaluating
-/// `num_paths[f]` paths for each of the `vectors_per_channel` vectors
-/// `ys[f * vectors_per_channel + ...]`.  Each task rotates its vector into
-/// the flat ybar buffer and scans its paths (block kernel where available,
-/// scalar metric otherwise) with the minimum tracked inline.  Steady-state
-/// tasks perform zero heap allocations.
-template <PathParallelDetector D>
-FLEXCORE_HOT_PATH
-void run_frame_grid(std::span<const D* const> dets,
-                    std::span<const std::size_t> num_paths,
+/// per-subcarrier detector (channel already installed, all of one antenna
+/// geometry) evaluating its parallel_tasks() paths for each of the
+/// `vectors_per_channel` vectors `ys[f * vectors_per_channel + ...]`.
+/// Each task rotates its vector into the flat ybar buffer and scans its
+/// paths with the minimum tracked inline (the paper's pipelined minimum
+/// tree); rotation is part of the timed work, as in the paper's kernel
+/// timing.  Steady-state tasks perform zero heap allocations.
+void run_frame_grid(std::span<const PathDetector* const> dets,
                     std::span<const linalg::CVec> ys,
-                    std::size_t vectors_per_channel, std::size_t nt,
-                    parallel::ThreadPool& pool, FrameGridOutput* out) {
-  const std::size_t nsc = dets.size();
-  const std::size_t units = nsc * vectors_per_channel;
-  out->nt = nt;
-  out->tasks = 0;
-  for (std::size_t f = 0; f < nsc; ++f) {
-    out->tasks += vectors_per_channel * num_paths[f];
-  }
-  // flexcore-lint: allow-next-line(HP001) warm-capacity reuse, never shrunk
-  out->ybars.resize(units * nt);
-  // flexcore-lint: allow-next-line(HP001) warm-capacity reuse, never shrunk
-  out->best_path.assign(units, 0);
-  // flexcore-lint: allow-next-line(HP001) warm-capacity reuse, never shrunk
-  out->best_metric.assign(units, std::numeric_limits<double>::infinity());
-  if (units == 0) {
-    out->elapsed_seconds = 0.0;
-    return;
-  }
+                    std::size_t vectors_per_channel,
+                    parallel::ThreadPool& pool, FrameGridOutput* grid);
 
-  const auto t0 = std::chrono::steady_clock::now();
-  pool.parallel_for(units, [&](std::size_t u) {
-    const std::size_t f = u / vectors_per_channel;
-    const D& det = *dets[f];
-    const std::span<linalg::cplx> ybar{out->ybars.data() + u * nt, nt};
-    det.rotate_into(ys[u], ybar);
-    scan_paths(det, std::span<const linalg::cplx>(ybar), num_paths[f],
-               &out->best_path[u], &out->best_metric[u]);
-  });
-  out->elapsed_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
+/// Second phase of a frame-grid run: builds one DetectionResult per unit
+/// into `results` (an instrumented walk of the winning path, or the SIC
+/// fallback where every path was deactivated), across `pool`, and adds the
+/// per-unit stats and fallback count to *stats / *sic_fallbacks.  Uses the
+/// grid's scratch, so warm runs allocate nothing.
+void reconstruct_frame_grid(std::span<const PathDetector* const> dets,
+                            std::size_t vectors_per_channel,
+                            parallel::ThreadPool& pool, FrameGridOutput* grid,
+                            std::span<DetectionResult> results,
+                            DetectionStats* stats,
+                            std::size_t* sic_fallbacks);
 
 }  // namespace flexcore::detect

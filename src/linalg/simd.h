@@ -45,7 +45,7 @@ inline constexpr std::size_t simd_blocks_of(std::size_t n,
 }
 
 /// A complex sequence stored as two parallel scalar arrays, in precision T
-/// (double for the exact tier, float for the reduced-precision tier).
+/// (double for the exact tier; int16 for the quantized tier's R rows).
 template <typename T>
 struct SplitVec {
   std::vector<T> re, im;

@@ -99,19 +99,26 @@ TEST(Registry, UnknownNameThrowsListingFamilies) {
                           "flexcore-12x", "fcsd-L", "kbest-"}) {
     EXPECT_THROW(fa::make_detector(bad, cfg), std::invalid_argument) << bad;
   }
-  try {
-    fa::make_detector("no-such-detector", cfg);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("no detector \"no-such-detector\""), std::string::npos);
-    // The message lists every registered spec family after "known:".
-    const auto known = msg.find("known:");
-    ASSERT_NE(known, std::string::npos);
-    for (const char* family :
-         {"flexcore", "a-flexcore", "fcsd-L", "kbest", "akbest", "zf", "mmse",
-          "zf-sic", "trellis50", "ml-sd"}) {
-      EXPECT_NE(msg.find(family, known), std::string::npos) << family;
+  // A tier suffix the registry does not know (there is no fp32 tier) makes
+  // the whole spec unknown.
+  for (const char* bad :
+       {"no-such-detector", "flexcore-16:fp32", "fcsd-L1:fp32"}) {
+    try {
+      fa::make_detector(bad, cfg);
+      FAIL() << "expected std::invalid_argument for " << bad;
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("no detector \"" + std::string(bad) + "\""),
+                std::string::npos)
+          << msg;
+      // The message lists every registered spec family after "known:".
+      const auto known = msg.find("known:");
+      ASSERT_NE(known, std::string::npos);
+      for (const char* family :
+           {"flexcore", "a-flexcore", "fcsd-L", "kbest", "akbest", "zf",
+            "mmse", "zf-sic", "trellis50", "ml-sd"}) {
+        EXPECT_NE(msg.find(family, known), std::string::npos) << family;
+      }
     }
   }
 }

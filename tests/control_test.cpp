@@ -260,23 +260,22 @@ TEST(FeedbackLoop, LoadDegradesToFamilySwapAndRestores) {
   const std::size_t solved = loop.current()->paths;
   ASSERT_GT(solved, 4u) << "scenario needs headroom to halve";
 
-  // Sustained pressure: halve, halve, drop to fp32, then the quantized
-  // int16 tier, then swap families — the i16 rung sits between the fp32
-  // drop and the zf-sic swap so the loop sheds precision twice before
-  // abandoning tree search.
+  // Sustained pressure: halve, halve, drop to the quantized int16 tier,
+  // then swap families — the i16 rung sits between the last halving and
+  // the zf-sic swap so the loop sheds precision before abandoning tree
+  // search.
   std::vector<std::string> specs;
   for (int i = 0;
-       i < 30 && loop.degrade_step() <= cfg.max_degrade_steps + 2; ++i) {
+       i < 30 && loop.degrade_step() <= cfg.max_degrade_steps + 1; ++i) {
     if (auto d = loop.observe(load_obs(10.0, 4, 4))) {
       specs.push_back(d->detector);
     }
   }
-  ASSERT_EQ(specs.size(), 5u);
+  ASSERT_EQ(specs.size(), 4u);
   EXPECT_EQ(specs[0], "flexcore-" + std::to_string(solved / 2));
   EXPECT_EQ(specs[1], "flexcore-" + std::to_string(solved / 4));
-  EXPECT_EQ(specs[2], "flexcore-" + std::to_string(solved / 4) + ":fp32");
-  EXPECT_EQ(specs[3], "flexcore-" + std::to_string(solved / 4) + ":i16");
-  EXPECT_EQ(specs[4], "zf-sic");
+  EXPECT_EQ(specs[2], "flexcore-" + std::to_string(solved / 4) + ":i16");
+  EXPECT_EQ(specs[3], "zf-sic");
   EXPECT_EQ(loop.decisions().back().reason, std::string("load-degrade"));
 
   // Sustained slack walks the ladder back up to the full solved budget.
@@ -287,22 +286,21 @@ TEST(FeedbackLoop, LoadDegradesToFamilySwapAndRestores) {
       EXPECT_EQ(d->reason, std::string("load-restore"));
     }
   }
-  EXPECT_EQ(restores, 5u);
+  EXPECT_EQ(restores, 4u);
   EXPECT_EQ(loop.degrade_step(), 0u);
   EXPECT_EQ(loop.current()->detector,
             "flexcore-" + std::to_string(solved));
 }
 
-TEST(FeedbackLoop, PrecisionRungCanBeDisabled) {
-  // shed_precision = false restores the legacy three-rung ladder: the
-  // family swap follows the last halving directly.
+TEST(FeedbackLoop, LadderReadsHalvingsThenI16ThenFamilySwap) {
+  // The ladder's shape is fixed: the halvings, then the same spec at the
+  // ":i16" tier, then the family swap — at any max_degrade_steps.
   Constellation qam(16);
   ctl::ControlConfig cfg;
   cfg.policy.max_paths = 64;
   cfg.degrade_after = 2;
   cfg.restore_after = 3;
   cfg.max_degrade_steps = 1;
-  cfg.shed_precision = false;
   ctl::FeedbackLoop loop(qam, 4, cfg);
   loop.observe(snr_obs(10.0));
   const std::size_t solved = loop.current()->paths;
@@ -310,14 +308,15 @@ TEST(FeedbackLoop, PrecisionRungCanBeDisabled) {
 
   std::vector<std::string> specs;
   for (int i = 0;
-       i < 20 && loop.degrade_step() <= cfg.max_degrade_steps; ++i) {
+       i < 20 && loop.degrade_step() <= cfg.max_degrade_steps + 1; ++i) {
     if (auto d = loop.observe(load_obs(10.0, 4, 4))) {
       specs.push_back(d->detector);
     }
   }
-  ASSERT_EQ(specs.size(), 2u);
+  ASSERT_EQ(specs.size(), 3u);
   EXPECT_EQ(specs[0], "flexcore-" + std::to_string(solved / 2));
-  EXPECT_EQ(specs[1], "zf-sic");
+  EXPECT_EQ(specs[1], "flexcore-" + std::to_string(solved / 2) + ":i16");
+  EXPECT_EQ(specs[2], "zf-sic");
 }
 
 TEST(FeedbackLoop, NoDecisionBeforeFirstSnrEstimate) {
@@ -370,8 +369,8 @@ TEST(Reconfigure, FifoSafeAcrossSpecBoundary) {
   }
 }
 
-TEST(Reconfigure, Fp32TierSpecAppliesThroughRuntime) {
-  // The degrade ladder's precision rung emits ":fp32" specs; they must
+TEST(Reconfigure, I16TierSpecAppliesThroughRuntime) {
+  // The degrade ladder's precision rung emits ":i16" specs; they must
   // apply through the FIFO-safe reconfigure path like any family swap,
   // and the live spec in RuntimeStats must reflect the tier.
   fa::RuntimeConfig rcfg;
@@ -385,16 +384,16 @@ TEST(Reconfigure, Fp32TierSpecAppliesThroughRuntime) {
   const fa::FrameJob job = job_of(fr, nv);
 
   fa::FrameTicket swap =
-      rt.reconfigure(cell, {.detector = "flexcore-16:fp32"});
+      rt.reconfigure(cell, {.detector = "flexcore-16:i16"});
   fa::FrameTicket frame = rt.submit(cell, job);
   while (rt.run_one()) {
   }
   EXPECT_EQ(swap.wait(), fa::TicketStatus::kDone);
   ASSERT_EQ(frame.wait(), fa::TicketStatus::kDone);
   EXPECT_EQ(frame.try_get()->results.size(), fr.ys.size());
-  EXPECT_EQ(rt.stats().cells[0].detector, "flexcore-16:fp32");
+  EXPECT_EQ(rt.stats().cells[0].detector, "flexcore-16:i16");
 
-  // The fp32 grid stays close to the fp64 reference at this SNR (the
+  // The i16 grid stays close to the fp64 reference at this SNR (the
   // kernel suite quantifies the tolerance; here we only guard wiring).
   const auto ref = sync_reference("flexcore-16", 16, fr, nv);
   std::size_t mismatched = 0;

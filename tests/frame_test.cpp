@@ -1,6 +1,7 @@
 // Tests for the frame-level detection engine: api::FrameJob /
-// UplinkPipeline::detect_frame, the multi-channel grid
-// (detect::run_frame_grid) and its zero-allocation steady state.
+// UplinkPipeline::detect_frame, the grid (detect::run_frame_grid, whose
+// one-subcarrier case is Detector::detect_batch) and its zero-allocation
+// steady state.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,6 +11,7 @@
 #include "channel/channel.h"
 #include "core/flexcore_detector.h"
 #include "detect/fcsd.h"
+#include "detect/path_detector.h"
 #include "detect/path_grid.h"
 #include "frame_fixtures.h"
 #include "parallel/hot_path_guard.h"
@@ -87,18 +89,32 @@ TEST(Frame, ZeroVectorsStillInstallsChannels) {
 }
 
 TEST(Frame, SingleSubcarrierMatchesDetectBitForBit) {
-  fa::PipelineConfig cfg;
-  cfg.detector = "flexcore-16";
-  cfg.qam_order = 16;
-  cfg.threads = 2;
-  fa::UplinkPipeline pipe(cfg);
+  // nsc = 1 is the grid behind Detector::detect_batch, so for every
+  // path-parallel family and tier a one-subcarrier detect_frame, the
+  // pooled detect_batch and per-vector detect must all agree.  detect()
+  // walks in fp64 whatever the tier; at this SNR the i16 grid crowns the
+  // same winner on every vector, and reconstruction re-derives the fp64
+  // metric, so the i16 results match it bit for bit too.
   const double nv = ch::noise_var_for_snr_db(12.0);
-  const Frame fr = make_frame(pipe.constellation(), 1, 20, 6, 6, nv, 22);
+  for (const char* spec :
+       {"flexcore-16", "flexcore-16:i16", "fcsd-L1", "fcsd-L1:i16"}) {
+    fa::PipelineConfig cfg;
+    cfg.detector = spec;
+    cfg.qam_order = 16;
+    cfg.threads = 2;
+    fa::UplinkPipeline pipe(cfg);
+    const Frame fr = make_frame(pipe.constellation(), 1, 20, 6, 6, nv, 22);
 
-  const fa::FrameResult out = pipe.detect_frame(job_of(fr, nv));
-  expect_bit_identical(out.results,
-                       sequential_reference("flexcore-16", pipe.constellation(),
-                                            fr, nv));
+    const fa::FrameResult frame = pipe.detect_frame(job_of(fr, nv));
+    pipe.set_channel(fr.channels[0], nv);
+    const fd::BatchResult batch = pipe.detect(fr.ys);
+    EXPECT_EQ(frame.tasks, batch.tasks) << spec;
+    EXPECT_EQ(frame.sic_fallbacks, batch.sic_fallbacks) << spec;
+    expect_bit_identical(frame.results, batch.results, spec);
+    expect_bit_identical(
+        frame.results,
+        sequential_reference(spec, pipe.constellation(), fr, nv), spec);
+  }
 }
 
 TEST(Frame, SixtyFourSubcarrierFrameMatchesSequentialLifecycle) {
@@ -364,31 +380,26 @@ TEST(FrameGrid, SteadyStateGridDoesNotAllocate) {
   const double noise = ch::noise_var_for_snr_db(12.0);
 
   std::vector<std::unique_ptr<fc::FlexCoreDetector>> dets;
-  std::vector<const fc::FlexCoreDetector*> ptrs;
-  std::vector<std::size_t> paths;
+  std::vector<const fd::PathDetector*> ptrs;
   Frame fr = make_frame(c, nsc, nv, n, n, noise, 32);
   for (std::size_t f = 0; f < nsc; ++f) {
     dets.push_back(
         std::make_unique<fc::FlexCoreDetector>(c, fc::FlexCoreConfig{.num_pes = 8}));
     dets.back()->set_channel(fr.channels[f], noise);
     ptrs.push_back(dets.back().get());
-    paths.push_back(dets.back()->active_paths());
   }
 
   for (std::size_t threads : {1u, 3u}) {
     flexcore::parallel::ThreadPool pool(threads);
     fd::FrameGridOutput grid;
     // Warm runs: grow every buffer to its high-water mark.
-    fd::run_frame_grid<fc::FlexCoreDetector>(ptrs, paths, fr.ys, nv, n, pool,
-                                             &grid);
-    fd::run_frame_grid<fc::FlexCoreDetector>(ptrs, paths, fr.ys, nv, n, pool,
-                                             &grid);
+    fd::run_frame_grid(ptrs, fr.ys, nv, pool, &grid);
+    fd::run_frame_grid(ptrs, fr.ys, nv, pool, &grid);
 
     flexcore::parallel::HotPathScope guard(
         "frame grid steady state",
         flexcore::parallel::HotPathScope::Scope::kProcess);
-    fd::run_frame_grid<fc::FlexCoreDetector>(ptrs, paths, fr.ys, nv, n, pool,
-                                             &grid);
+    fd::run_frame_grid(ptrs, fr.ys, nv, pool, &grid);
     EXPECT_EQ(guard.delta().allocations, 0u) << "threads=" << threads;
 
     // The grid still produced verdicts.
@@ -398,8 +409,8 @@ TEST(FrameGrid, SteadyStateGridDoesNotAllocate) {
 }
 
 TEST(PathGrid, SteadyStateGridDoesNotAllocate) {
-  // The single-channel grid honours the same contract as the frame grid:
-  // with a warm PathGridOutput (and the per-call metrics vector gone), a
+  // The single-channel grid behind detect_batch (the frame grid at
+  // nsc = 1) honours the same contract: with a warm FrameGridOutput, a
   // full vector x path run performs ZERO heap allocations — at any thread
   // count, for both the FlexCore and FCSD block kernels.
   Constellation c(16);
@@ -410,13 +421,15 @@ TEST(PathGrid, SteadyStateGridDoesNotAllocate) {
   flex.set_channel(fr.channels[0], noise);
   fd::FcsdDetector fcsd(c, 1);
   fcsd.set_channel(fr.channels[0], noise);
+  const fd::PathDetector* const dets[2] = {&flex, &fcsd};
 
   for (std::size_t threads : {1u, 3u}) {
     flexcore::parallel::ThreadPool pool(threads);
-    fd::PathGridOutput grid;
+    fd::FrameGridOutput grid;
     const auto run_both = [&] {
-      fd::run_path_grid(flex, flex.active_paths(), fr.ys, 6, pool, &grid);
-      fd::run_path_grid(fcsd, fcsd.num_paths(), fr.ys, 6, pool, &grid);
+      for (std::size_t d = 0; d < 2; ++d) {
+        fd::run_frame_grid({&dets[d], 1}, fr.ys, fr.ys.size(), pool, &grid);
+      }
     };
     run_both();  // warm: grow every buffer to its high-water mark
     run_both();
@@ -432,12 +445,12 @@ TEST(PathGrid, SteadyStateGridDoesNotAllocate) {
   }
 }
 
-TEST(Frame, Fp32TierRunsAndStaysClose) {
-  // The ":fp32" compute tier flows end-to-end through the pipeline: the
-  // frame grid runs the single-precision block kernels, winner
-  // reconstruction stays double, and at a comfortable SNR the symbol
-  // decisions match the fp64 tier on the overwhelming majority of
-  // vectors (tests/kernel_test.cpp quantifies the SER gap properly).
+TEST(Frame, I16TierRunsAndStaysClose) {
+  // The ":i16" compute tier flows end-to-end through the pipeline: the
+  // frame grid runs the int16 block kernels, winner reconstruction stays
+  // double, and at a comfortable SNR the symbol decisions match the fp64
+  // tier on the overwhelming majority of vectors (tests/kernel_test.cpp
+  // quantifies the SER gap properly).
   const double nv = ch::noise_var_for_snr_db(18.0);
   Constellation c(16);
   const Frame fr = make_frame(c, 8, 6, 6, 6, nv, 43);
@@ -448,20 +461,20 @@ TEST(Frame, Fp32TierRunsAndStaysClose) {
   c64.threads = 2;
   fa::UplinkPipeline p64(c64);
 
-  fa::PipelineConfig c32 = c64;
-  c32.precision = flexcore::detect::Precision::kFloat32;
-  fa::UplinkPipeline p32(c32);
-  EXPECT_EQ(p32.detector().name(), "flexcore-16:fp32");
+  fa::PipelineConfig c16 = c64;
+  c16.detector = "flexcore-16:i16";
+  fa::UplinkPipeline p16(c16);
+  EXPECT_EQ(p16.detector().name(), "flexcore-16:i16");
 
   const fa::FrameResult r64 = p64.detect_frame(job_of(fr, nv));
-  const fa::FrameResult r32 = p32.detect_frame(job_of(fr, nv));
-  ASSERT_EQ(r32.results.size(), r64.results.size());
+  const fa::FrameResult r16 = p16.detect_frame(job_of(fr, nv));
+  ASSERT_EQ(r16.results.size(), r64.results.size());
   std::size_t disagreements = 0;
   for (std::size_t v = 0; v < r64.results.size(); ++v) {
-    disagreements += r32.results[v].symbols != r64.results[v].symbols;
+    disagreements += r16.results[v].symbols != r64.results[v].symbols;
   }
   EXPECT_LE(disagreements, r64.results.size() / 10)
-      << "fp32 tier diverged from fp64 on too many vectors";
+      << "i16 tier diverged from fp64 on too many vectors";
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 // invariants it pins on the detection runtimes:
 //
 //  * the guard itself: allocation/lock counting, thread vs process scope;
-//  * path_metric_block is allocation- and lock-free in every precision
-//    tier (fp64 / fp32 / i16);
+//  * path_metric_block is allocation- and lock-free in both precision
+//    tiers (fp64 / i16);
 //  * a single-threaded ThreadPool runs jobs with ZERO lock traffic (the
 //    inline short-circuit);
 //  * UplinkPipeline::detect_frame steady state (reuse overload +
@@ -107,7 +107,7 @@ TEST(Guard, ThreadScopeIgnoresOtherThreads) {
 // ------------------------------------------------- kernel tiers alloc-free
 
 TEST(KernelTiers, PathMetricBlockAllocAndLockFreeAllTiers) {
-  // Compile all three precision tiers on the same FCSD channel, then
+  // Compile both precision tiers on the same FCSD channel, then
   // assert a full sweep of path_metric_block touches neither the heap nor
   // any instrumented lock — the per-path contract of the kernel engine.
   flexcore::modulation::Constellation c(16);
@@ -115,11 +115,9 @@ TEST(KernelTiers, PathMetricBlockAllocAndLockFreeAllTiers) {
   const fl::CMat h = ch::rayleigh_iid(6, 6, rng);
   const fl::QrResult qr = fl::fcsd_sorted_qr(h, 1);
 
-  fd::PathPlanT<double> plan64;
-  fd::PathPlanT<float> plan32;
+  fd::PathPlan plan64;
   fd::PathPlanI16 plan16;
   plan64.compile_fcsd(qr.R, 1, c);
-  plan32.compile_fcsd(qr.R, 1, c);
   plan16.compile_fcsd(qr.R, 1, c);
   const std::size_t paths = plan64.num_paths();
   ASSERT_EQ(paths, 16u);
@@ -129,7 +127,6 @@ TEST(KernelTiers, PathMetricBlockAllocAndLockFreeAllTiers) {
 
   fp::HotPathScope guard("path_metric_block all tiers");
   plan64.path_metric_block(ybar, 0, paths, metrics.data());
-  plan32.path_metric_block(ybar, 0, paths, metrics.data());
   plan16.path_metric_block(ybar, 0, paths, metrics.data());
   const auto d = guard.delta();
   if (fp::hot_path_guard_enabled()) {
@@ -163,30 +160,34 @@ TEST(PoolLocks, SingleThreadedPoolRunsJobsLockFree) {
 
 TEST(FrameSteadyState, ZeroAllocZeroLockSingleThread) {
   // The full frame path — rotate, grid, winner reconstruction, unpermute —
-  // on a threads=1 pipeline with warm buffers: no heap, no locks.
-  fa::PipelineConfig cfg;
-  cfg.detector = "flexcore-16";
-  cfg.qam_order = 16;
-  cfg.threads = 1;
-  fa::UplinkPipeline pipe(cfg);
-  const double nv = ch::noise_var_for_snr_db(14.0);
-  const Frame fr = make_frame(pipe.constellation(), 6, 3, 4, 4, nv, 31);
+  // on a threads=1 pipeline with warm buffers: no heap, no locks, in both
+  // compute tiers.
+  for (const char* spec : {"flexcore-16", "flexcore-16:i16"}) {
+    fa::PipelineConfig cfg;
+    cfg.detector = spec;
+    cfg.qam_order = 16;
+    cfg.threads = 1;
+    fa::UplinkPipeline pipe(cfg);
+    const double nv = ch::noise_var_for_snr_db(14.0);
+    const Frame fr = make_frame(pipe.constellation(), 6, 3, 4, 4, nv, 31);
 
-  fa::FrameJob job = job_of(fr, nv);
-  fa::FrameResult out;
-  pipe.detect_frame(job, &out);  // cold: preprocess + buffer growth
-  job.reuse_preprocessing = true;
-  pipe.detect_frame(job, &out);  // warm-up reuse pass
+    fa::FrameJob job = job_of(fr, nv);
+    fa::FrameResult out;
+    pipe.detect_frame(job, &out);  // cold: preprocess + buffer growth
+    job.reuse_preprocessing = true;
+    pipe.detect_frame(job, &out);  // warm-up reuse pass
 
-  fp::HotPathScope guard("detect_frame steady state", Scope::kThread);
-  pipe.detect_frame(job, &out);
-  const auto d = guard.delta();
-  if (fp::hot_path_guard_enabled()) {
-    EXPECT_EQ(d.allocations, 0u) << "steady-state frame touched the heap";
+    fp::HotPathScope guard("detect_frame steady state", Scope::kThread);
+    pipe.detect_frame(job, &out);
+    const auto d = guard.delta();
+    if (fp::hot_path_guard_enabled()) {
+      EXPECT_EQ(d.allocations, 0u)
+          << spec << ": steady-state frame touched the heap";
+    }
+    EXPECT_EQ(d.lock_acquisitions, 0u)
+        << spec << ": steady-state frame took a lock on a threads=1 pool";
+    EXPECT_EQ(out.results.size(), fr.ys.size());
   }
-  EXPECT_EQ(d.lock_acquisitions, 0u)
-      << "steady-state frame took a lock on a threads=1 pool";
-  EXPECT_EQ(out.results.size(), fr.ys.size());
 }
 
 // ------------------------------------- runtime O(1)-per-frame envelope

@@ -1,8 +1,9 @@
 // Tests for the lane-parallel path-kernel engine (detect/path_kernels.h):
 // fp64 block kernels bit-identical to the scalar path_metric across
-// detector families x constellations x MIMO sizes, the fp32 tier within a
-// documented SER tolerance on a fig12-style sweep, and the ":fp32" spec
-// grammar round-tripping through the registry.
+// detector families x constellations x MIMO sizes, the tier spec grammar
+// round-tripping through the registry, and the int16 quantized tier
+// (golden slicer patterns, quantization scales, SER within
+// detect::kI16SerTolerance, cross-ISA bit-identical metrics).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -33,13 +34,6 @@ namespace fl = flexcore::linalg;
 using flexcore::modulation::Constellation;
 
 namespace {
-
-/// Documented fp32 tolerance: the single-precision tier may move the
-/// measured SER by at most this much (absolute) relative to fp64 on a
-/// Rayleigh sweep at operating SNRs.  In practice the gap is orders of
-/// magnitude smaller — fp32 keeps ~7 significant digits and the metric
-/// margins between winning and runner-up paths are far coarser.
-constexpr double kFp32SerTolerance = 5e-3;
 
 fl::CVec random_y(const fl::CMat& h, const Constellation& c, double nv,
                   ch::Rng& rng) {
@@ -188,69 +182,20 @@ TEST(KernelEquivalence, MisalignedBlockRangesMatch) {
   }
 }
 
-// ----------------------------------------------------- fp32 compute tier
-
-TEST(KernelPrecision, Fp32SerWithinToleranceOnSweep) {
-  // fig12-style sweep: Rayleigh channels, 8 users, 64-QAM, across the
-  // operating SNR range; the fp32 tier's SER may not exceed fp64's by more
-  // than the documented tolerance.
-  Constellation c(64);
-  const std::size_t nt = 8, nsc = 24, nv = 8;
-
-  for (double snr_db : {16.0, 20.0, 24.0}) {
-    const double noise = ch::noise_var_for_snr_db(snr_db);
-    const fs::SynthFrame fr = fs::synth_frame(
-        c, nsc, nv, nt, nt, noise, 5000 + static_cast<std::uint64_t>(snr_db));
-
-    fa::PipelineConfig c64;
-    c64.detector = "flexcore-64";
-    c64.qam_order = 64;
-    c64.threads = 2;
-    fa::UplinkPipeline p64(c64);
-
-    fa::PipelineConfig c32 = c64;
-    c32.precision = fd::Precision::kFloat32;
-    fa::UplinkPipeline p32(c32);
-
-    const auto r64 = p64.detect_frame(fs::frame_job_of(fr, noise));
-    const auto r32 = p32.detect_frame(fs::frame_job_of(fr, noise));
-    const double symbols = static_cast<double>(nsc * nv * nt);
-    const double ser64 =
-        static_cast<double>(fs::count_symbol_errors(fr, r64.results)) / symbols;
-    const double ser32 =
-        static_cast<double>(fs::count_symbol_errors(fr, r32.results)) / symbols;
-    EXPECT_LE(ser32, ser64 + kFp32SerTolerance)
-        << "snr=" << snr_db << " ser64=" << ser64 << " ser32=" << ser32;
-  }
-}
-
 // ------------------------------------------------------- spec grammar
 
-TEST(KernelSpecs, PrecisionSuffixRoundTripsThroughRegistry) {
+TEST(KernelSpecs, Fp64SuffixNormalizesThroughRegistry) {
+  // ":fp64" is accepted and normalizes to the suffix-free spelling, which
+  // round-trips through name(); families without block kernels reject it.
   Constellation c(16);
   const fa::DetectorConfig cfg{.constellation = &c};
-  for (const char* spec :
-       {"flexcore-16:fp32", "a-flexcore-8:fp32", "fcsd-L1:fp32"}) {
-    const auto det = fa::make_detector(spec, cfg);
+  for (const char* spec : {"flexcore-16", "a-flexcore-8", "fcsd-L1"}) {
+    const auto det = fa::make_detector(std::string(spec) + ":fp64", cfg);
     EXPECT_EQ(det->name(), spec);
-    // name() round-trips: constructing from the reported name reproduces
-    // the same detector spelling.
     EXPECT_EQ(fa::make_detector(det->name(), cfg)->name(), det->name());
   }
-  // ":fp64" is accepted and normalizes to the suffix-free spelling.
-  EXPECT_EQ(fa::make_detector("flexcore-16:fp64", cfg)->name(),
-            "flexcore-16");
-  // The config knob selects the tier without a suffix...
-  fa::DetectorConfig fp32 = cfg;
-  fp32.precision = fd::Precision::kFloat32;
-  EXPECT_EQ(fa::make_detector("flexcore-16", fp32)->name(),
-            "flexcore-16:fp32");
-  // ...and an explicit suffix overrides the knob.
-  EXPECT_EQ(fa::make_detector("flexcore-16:fp64", fp32)->name(),
-            "flexcore-16");
-  // Families without a reduced-precision tier reject the suffix.
-  EXPECT_THROW(fa::make_detector("zf:fp32", cfg), std::invalid_argument);
-  EXPECT_THROW(fa::make_detector("kbest-8:fp32", cfg), std::invalid_argument);
+  EXPECT_THROW(fa::make_detector("zf:fp64", cfg), std::invalid_argument);
+  EXPECT_THROW(fa::make_detector("kbest-8:fp64", cfg), std::invalid_argument);
 }
 
 // ----------------------------------------------------- int16 quantized tier
@@ -440,23 +385,21 @@ TEST(KernelI16, MetricsBitIdenticalAcrossRepeatsAndGolden) {
 }
 
 TEST(KernelI16, FootprintOrderingAcrossTiers) {
-  // The storage story of the tier ladder: int16 SoA plans are smaller than
-  // fp32 plans, which are smaller than fp64 plans, for the same channel.
+  // The storage story of the tiers: int16 SoA plans are smaller than fp64
+  // plans for the same channel.
   Constellation c(64);
   ch::Rng rng(33);
   const auto h = ch::rayleigh_iid(12, 12, rng);
   const double nv = ch::noise_var_for_snr_db(18.0);
-  std::size_t bytes[3] = {0, 0, 0};
-  const char* specs[3] = {"flexcore-128:i16", "flexcore-128:fp32",
-                          "flexcore-128"};
-  for (int t = 0; t < 3; ++t) {
+  std::size_t bytes[2] = {0, 0};
+  const char* specs[2] = {"flexcore-128:i16", "flexcore-128"};
+  for (int t = 0; t < 2; ++t) {
     const auto det = fa::make_detector_as<fc::FlexCoreDetector>(
         specs[t], {.constellation = &c});
     det->set_channel(h, nv);
     bytes[t] = det->plan_footprint_bytes();
   }
-  EXPECT_LT(bytes[0], bytes[1]) << "i16 plan must undercut fp32";
-  EXPECT_LT(bytes[1], bytes[2]) << "fp32 plan must undercut fp64";
+  EXPECT_LT(bytes[0], bytes[1]) << "i16 plan must undercut fp64";
 }
 
 TEST(KernelI16, SpecGrammarRoundTripsAndRejects) {
@@ -468,14 +411,6 @@ TEST(KernelI16, SpecGrammarRoundTripsAndRejects) {
     EXPECT_EQ(det->name(), spec);
     EXPECT_EQ(fa::make_detector(det->name(), cfg)->name(), det->name());
   }
-  // The config knob selects the tier without a suffix, and a suffix
-  // overrides the knob.
-  fa::DetectorConfig i16 = cfg;
-  i16.precision = fd::Precision::kInt16;
-  EXPECT_EQ(fa::make_detector("flexcore-16", i16)->name(),
-            "flexcore-16:i16");
-  EXPECT_EQ(fa::make_detector("flexcore-16:fp64", i16)->name(),
-            "flexcore-16");
   // Detectors without block kernels reject the tier like any unknown spec.
   EXPECT_THROW(fa::make_detector("zf:i16", cfg), std::invalid_argument);
   EXPECT_THROW(fa::make_detector("kbest-8:i16", cfg), std::invalid_argument);

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <set>
 #include <thread>
@@ -209,17 +210,29 @@ TEST(ThreadPool, AffinityPinsSpawnedWorkersOnly) {
   // cpu; worker 0 (this thread) is wherever the scheduler left it.
   std::atomic<int> off_target{0};
   std::atomic<int> spawned_seen{0};
-  // A round where worker 0 races through every chunk proves nothing; retry
-  // until a spawned worker participated (virtually always round one).
-  for (int round = 0; round < 50 && spawned_seen.load() == 0; ++round) {
-    pool.parallel_for_worker(10000, [&](std::size_t w, std::size_t) {
-      if (w == 0) return;
-      spawned_seen.fetch_add(1, std::memory_order_relaxed);
-      if (sched_getcpu() != target) {
-        off_target.fetch_add(1, std::memory_order_relaxed);
+  // Left alone, worker 0 can claim every chunk before a pinned worker even
+  // wakes, and the round then proves nothing.  So after its first index
+  // worker 0 waits (bounded) until a spawned worker has run one: the check
+  // of the pinning no longer depends on wake-up latency.
+  bool worker0_waited = false;  // only worker 0 touches it
+  pool.parallel_for_worker(10000, [&](std::size_t w, std::size_t) {
+    if (w == 0) {
+      if (!worker0_waited) {
+        worker0_waited = true;
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (spawned_seen.load() == 0 &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
       }
-    });
-  }
+      return;
+    }
+    spawned_seen.fetch_add(1, std::memory_order_relaxed);
+    if (sched_getcpu() != target) {
+      off_target.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
   EXPECT_EQ(off_target.load(), 0);
   // On a single-cpu machine the submitting thread can legitimately starve
   // the pinned workers of chunks (everyone shares the one core), so only
