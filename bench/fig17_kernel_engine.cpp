@@ -51,21 +51,36 @@ struct Timing {
   double checksum = 0.0;  ///< sum of per-vector minima (anti-DCE + sanity)
 };
 
-/// Best-of-`reps` wall clock of `eval` (which scans every path of every
-/// vector and returns the checksum), normalized per path walk.
-template <typename Eval>
-Timing time_kernel(std::size_t total_walks, int reps, Eval&& eval) {
-  Timing t;
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
+struct Timings {
+  Timing scalar, blk64, blk16;
+};
+
+/// Best-of-`reps` wall clock of each kernel's scan (which walks every path
+/// of every vector and returns the checksum), normalized per path walk.
+/// The three kernels take turns inside each rep, so a burst of host load
+/// lands on all of them rather than on one side of a ratio.
+template <typename EvalScalar, typename EvalBlk64, typename EvalBlk16>
+Timings time_kernels(std::size_t total_walks, int reps, EvalScalar&& scalar,
+                     EvalBlk64&& blk64, EvalBlk16&& blk16) {
+  Timings t;
+  double best[3] = {1e300, 1e300, 1e300};
+  const auto timed = [](auto& eval, Timing* out, double* best_secs) {
     const auto t0 = std::chrono::steady_clock::now();
-    t.checksum = eval();
+    out->checksum = eval();
     const double secs =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
-    best = std::min(best, secs);
+    *best_secs = std::min(*best_secs, secs);
+  };
+  for (int r = 0; r < reps; ++r) {
+    timed(scalar, &t.scalar, &best[0]);
+    timed(blk64, &t.blk64, &best[1]);
+    timed(blk16, &t.blk16, &best[2]);
   }
-  t.ns_per_path = best * 1e9 / static_cast<double>(total_walks);
+  const double walks = static_cast<double>(total_walks);
+  t.scalar.ns_per_path = best[0] * 1e9 / walks;
+  t.blk64.ns_per_path = best[1] * 1e9 / walks;
+  t.blk16.ns_per_path = best[2] * 1e9 / walks;
   return t;
 }
 
@@ -179,12 +194,10 @@ int main() {
     const auto ybars = rotated_batch(*det64, h, qam, noise, nvec, rng);
     const std::size_t walks = nvec * paths;
 
-    const Timing scalar = time_kernel(
-        walks, reps, [&] { return scan_scalar(*det64, ybars, paths); });
-    const Timing blk64 = time_kernel(
-        walks, reps, [&] { return scan_block(*det64, ybars, paths); });
-    const Timing blk16 = time_kernel(
-        walks, reps, [&] { return scan_block(*det16, ybars, paths); });
+    const auto [scalar, blk64, blk16] = time_kernels(
+        walks, reps, [&] { return scan_scalar(*det64, ybars, paths); },
+        [&] { return scan_block(*det64, ybars, paths); },
+        [&] { return scan_block(*det16, ybars, paths); });
     // Relative tolerance, not bit equality: tests/kernel_test.cpp proves
     // bitwise identity at the portable default flags; under
     // FLEXCORE_NATIVE_ARCH, FMA contraction may legitimately move the
@@ -270,12 +283,10 @@ int main() {
       }
     }
     const std::size_t walks = nvec * paths;
-    const Timing scalar = time_kernel(
-        walks, reps, [&] { return scan_scalar(fcsd64, ybars, paths); });
-    const Timing blk64 = time_kernel(
-        walks, reps, [&] { return scan_block(fcsd64, ybars, paths); });
-    const Timing blk16 = time_kernel(
-        walks, reps, [&] { return scan_block(fcsd16, ybars, paths); });
+    const auto [scalar, blk64, blk16] = time_kernels(
+        walks, reps, [&] { return scan_scalar(fcsd64, ybars, paths); },
+        [&] { return scan_block(fcsd64, ybars, paths); },
+        [&] { return scan_block(fcsd16, ybars, paths); });
     std::printf("\nfcsd-L1 12x12: scalar %.2f ns/path, block fp64 %.2f "
                 "(%.2fx), block i16 %.2f\n",
                 scalar.ns_per_path, blk64.ns_per_path,

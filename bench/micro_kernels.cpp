@@ -66,6 +66,24 @@ void BM_Preprocessing(benchmark::State& state) {
 }
 BENCHMARK(BM_Preprocessing)->Arg(32)->Arg(128)->Arg(512);
 
+/// The serving path: FlexCoreDetector::set_channel refills its result in
+/// place, so after the first call no storage is allocated.
+void BM_PreprocessingInPlace(benchmark::State& state) {
+  Constellation qam(64);
+  const auto h = channel_12x12();
+  const auto qr = fl::sorted_qr_wubben(h);
+  fc::PreprocessingConfig cfg;
+  cfg.num_paths = static_cast<std::size_t>(state.range(0));
+  fc::PreprocessingResult out;
+  fc::find_most_promising_paths(qr.R, 0.02, qam, cfg, &out);
+  for (auto _ : state) {
+    fc::find_most_promising_paths(qr.R, 0.02, qam, cfg, &out);
+    benchmark::DoNotOptimize(out.pc_sum);
+  }
+  state.SetLabel("N_PE=" + std::to_string(state.range(0)));
+}
+BENCHMARK(BM_PreprocessingInPlace)->Arg(32)->Arg(128)->Arg(512);
+
 void BM_LutLookup(benchmark::State& state) {
   Constellation qam(64);
   fc::OrderingLut lut(qam);

@@ -39,7 +39,7 @@ void FlexCoreDetector::set_channel(const CMat& h, double noise_var) {
   pcfg.pe_model = cfg_.pe_model;
   pcfg.candidate_list_cap = cfg_.candidate_list_cap;
   pcfg.batch_expand = cfg_.batch_expand;
-  preproc_ = find_most_promising_paths(qr_.R, noise_var, *constellation_, pcfg);
+  find_most_promising_paths(qr_.R, noise_var, *constellation_, pcfg, &preproc_);
   active_paths_ = preproc_.paths.size();
 
   const std::size_t nt = qr_.R.cols();

@@ -41,7 +41,10 @@ enum class OrderingMode {
 
 /// FlexCore configuration.
 struct FlexCoreConfig {
-  /// Available processing elements = paths selected by pre-processing.
+  /// Available processing elements: the most paths pre-processing selects.
+  /// Without an adaptive threshold the search still runs at stop_threshold
+  /// 1.0, which stops it once pc_sum rounds to 1.0 (see
+  /// PreprocessingConfig::stop_threshold), so fewer paths may be active.
   std::size_t num_pes = 64;
   /// If > 0, run as a-FlexCore: activate only the first paths whose
   /// cumulative Pc reaches this threshold (0.95 in the paper's Fig. 10).

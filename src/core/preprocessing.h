@@ -16,6 +16,9 @@
 // of a node increments p(w); a node created by incrementing element l only
 // expands children w <= l (this makes every position vector reachable
 // exactly once); a bounded candidate list L of size N_PE holds the frontier.
+// The frontier is a flat, per-thread reused slot pool ordered by (pc
+// descending, position vector ascending); a warm in-place search allocates
+// nothing.
 #pragma once
 
 #include <cstdint>
@@ -44,8 +47,12 @@ struct PreprocessingConfig {
   /// Number of paths to emit (N_PE, the available processing elements).
   std::size_t num_paths = 64;
   /// Early-stop once the cumulative Pc of the emitted set reaches this
-  /// value (a-FlexCore uses 0.95; 1.0 disables the criterion since the
-  /// total probability over all paths is < 1).
+  /// value (a-FlexCore uses 0.95).  1.0 does not disable the criterion:
+  /// the model's total mass prod_l (1 - Pe(l)^|Q|) is within an ulp of 1,
+  /// so the running pc_sum rounds to exactly 1.0 once the unemitted mass
+  /// drops below ~1e-16 and the search stops there (flexcore-64, 12x12
+  /// 64-QAM iid at 24 dB: 41.6 of 64 paths, mean of 200 channels).  Only
+  /// a value above 1.0 turns early stopping off.
   double stop_threshold = 1.0;
   /// Analytic model for Pe(l).  kExactSer is the calibrated model the
   /// paper's Fig. 14 validates; see DESIGN.md "Eq. 4 prefactor".
@@ -88,6 +95,13 @@ PreprocessingResult find_most_promising_paths(linalg::CMatView r,
                                               const Constellation& c,
                                               const PreprocessingConfig& cfg);
 
+/// In-place form of the search above: overwrites every field of `*out`,
+/// reusing the capacity of its vectors (the per-channel serving path).
+void find_most_promising_paths(linalg::CMatView r, double noise_var,
+                               const Constellation& c,
+                               const PreprocessingConfig& cfg,
+                               PreprocessingResult* out);
+
 /// Same search over caller-supplied per-level probabilities Pe(l) (array
 /// index = level-1) — the seam the control plane's path-count solver uses
 /// to invert the model at a *nominal* SNR, with no channel realization in
@@ -95,6 +109,12 @@ PreprocessingResult find_most_promising_paths(linalg::CMatView r,
 PreprocessingResult find_most_promising_paths(const std::vector<double>& pe,
                                               int constellation_order,
                                               const PreprocessingConfig& cfg);
+
+/// In-place form of the search over given Pe(l); `pe` may be `out->pe`.
+void find_most_promising_paths(const std::vector<double>& pe,
+                               int constellation_order,
+                               const PreprocessingConfig& cfg,
+                               PreprocessingResult* out);
 
 /// Reference implementation for tests: enumerate *all* |Q|^Nt position
 /// vectors, rank by Pc, return the top `num_paths`.  Exponential; only for

@@ -3,6 +3,7 @@
 #include "parallel/hot_path.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
 #include <cmath>
@@ -681,15 +682,19 @@ void PathPlanI16::compile_channel(const linalg::CMat& r,
           std::floor(std::log2(static_cast<double>(QF::kMax) / pmax))),
       1, 30);
 
-  // Channel magnitude over everything stored at 2^F.
+  // Channel magnitude over everything stored at 2^F.  Each component of
+  // R(i,i) * point is computed monotonically in each point coordinate, so
+  // over the square grid its extremes sit at the four corner points.
+  const int last = side_ - 1;
+  const int corners[4] = {0, last, last * side_, last * side_ + last};
   double vmax = 0.0;
   for (std::size_t i = 0; i < nt; ++i) {
     for (std::size_t j = i; j < nt; ++j) {
       vmax = std::max(
           {vmax, std::fabs(r(i, j).real()), std::fabs(r(i, j).imag())});
     }
-    for (std::size_t x = 0; x < q; ++x) {
-      const linalg::cplx rx = r(i, i) * c.point(static_cast<int>(x));
+    for (const int x : corners) {
+      const linalg::cplx rx = r(i, i) * c.point(x);
       vmax = std::max({vmax, std::fabs(rx.real()), std::fabs(rx.imag())});
     }
   }
@@ -752,14 +757,17 @@ void PathPlanI16::compile_channel(const linalg::CMat& r,
         std::lround(rii.real() * scale_ * fs), -long{QF::kMax}, long{QF::kMax}));
     rh_im_q_[i] = static_cast<std::int32_t>(std::clamp(
         std::lround(rii.imag() * scale_ * fs), -long{QF::kMax}, long{QF::kMax}));
-    for (std::size_t x = 0; x < q; ++x) {
-      const int er = 2 * (static_cast<int>(x) / side_) - (side_ - 1);
-      const int eq = 2 * (static_cast<int>(x) % side_) - (side_ - 1);
-      rx_pack_[i * q + x] = pack_i16_pair(
-          static_cast<std::int16_t>(std::clamp<std::int32_t>(
-              er * rh_re_q_[i] - eq * rh_im_q_[i], -QF::kMax, QF::kMax)),
-          static_cast<std::int16_t>(std::clamp<std::int32_t>(
-              er * rh_im_q_[i] + eq * rh_re_q_[i], -QF::kMax, QF::kMax)));
+    std::int32_t* row = rx_pack_.data() + i * q;
+    for (int a_re = 0; a_re < side_; ++a_re) {
+      const int er = 2 * a_re - (side_ - 1);
+      for (int a_im = 0; a_im < side_; ++a_im) {
+        const int eq = 2 * a_im - (side_ - 1);
+        *row++ = pack_i16_pair(
+            static_cast<std::int16_t>(std::clamp<std::int32_t>(
+                er * rh_re_q_[i] - eq * rh_im_q_[i], -QF::kMax, QF::kMax)),
+            static_cast<std::int16_t>(std::clamp<std::int32_t>(
+                er * rh_im_q_[i] + eq * rh_re_q_[i], -QF::kMax, QF::kMax)));
+      }
     }
   }
   // Quantized points are defined AFFINELY in the axis indices — the grid is
@@ -798,6 +806,14 @@ void PathPlanI16::compile_channel(const linalg::CMat& r,
   pam_span_ = side_ + 2 * kPamPad + 1;
   pam_q_.assign(nt * static_cast<std::size_t>(pam_span_), 0);
   constexpr double kPamCap = 1073741824.0;  // 2^30: unreachable by eff_raw
+  // A level's slicer table depends only on its bucket width in effective-
+  // point units, 2^(sh - F - G_i) (both powers of two, so the ratio is
+  // exact), and sh tracks F + G_i unless clamped: most levels share one
+  // table, which is built once and copied.  step_exp[i] is level i's width
+  // exponent, or kNoTable while the level has no table.
+  constexpr int kNoTable = std::numeric_limits<int>::min();
+  std::array<int, kMaxLevels> step_exp;
+  step_exp.fill(kNoTable);
 
   for (std::size_t i = 0; i < nt; ++i) {
     // flexcore-lint: allow-next-line(HP005) LUT compile time, not per-path
@@ -864,6 +880,15 @@ void PathPlanI16::compile_channel(const linalg::CMat& r,
         slice_live_[i] = 1;
       }
     }
+    std::int8_t* table = slicer_.data() + i * kSlicerBuckets;
+    step_exp[i] = sh - fbits_ - gbits_[i];
+    const auto same =
+        std::find(step_exp.begin(), step_exp.begin() + i, step_exp[i]);
+    if (same != step_exp.begin() + i) {
+      const auto j = static_cast<std::size_t>(same - step_exp.begin());
+      std::copy_n(slicer_.data() + j * kSlicerBuckets, kSlicerBuckets, table);
+      continue;
+    }
     const double bucket = std::ldexp(1.0, sh);
     for (std::size_t t = 1; t + 1 < kSlicerBuckets; ++t) {
       // The same rounded-center rule as the fp slicer, evaluated once per
@@ -873,7 +898,7 @@ void PathPlanI16::compile_channel(const linalg::CMat& r,
       const int a =
           round_half_away((e_mid * inv_scale_ + (side_ - 1)) / 2.0);
       if (a > -kPamPad && a < side_ + kPamPad) {
-        slicer_[i * kSlicerBuckets + t] = static_cast<std::int8_t>(a);
+        table[t] = static_cast<std::int8_t>(a);
       }
     }
   }

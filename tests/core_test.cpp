@@ -3,8 +3,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <set>
+#include <vector>
 
 #include "api/detector_registry.h"
 #include "channel/channel.h"
@@ -219,6 +222,169 @@ TEST(Preprocessing, ZeroPathsThrows) {
   cfg.num_paths = 0;
   EXPECT_THROW(fc::find_most_promising_paths(qr.R, 0.1, c, cfg),
                std::invalid_argument);
+}
+
+namespace {
+
+/// FNV-1a over the bytes of `v`'s 64-bit pattern.
+void fnv_mix(std::uint64_t* h, std::uint64_t v) {
+  for (int b = 0; b < 64; b += 8) {
+    *h = (*h ^ ((v >> b) & 0xFF)) * 1099511628211ull;
+  }
+}
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t bits;
+  static_assert(sizeof bits == sizeof v);
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+/// Hash of every field of a PreprocessingResult, doubles as bit patterns.
+void hash_result(std::uint64_t* h, const fc::PreprocessingResult& res) {
+  fnv_mix(h, res.paths.size());
+  for (const auto& rp : res.paths) {
+    fnv_mix(h, rp.p.size());
+    for (int v : rp.p) fnv_mix(h, static_cast<std::uint64_t>(v));
+    fnv_mix(h, bits_of(rp.pc));
+  }
+  fnv_mix(h, bits_of(res.pc_sum));
+  fnv_mix(h, res.pe.size());
+  for (double v : res.pe) fnv_mix(h, bits_of(v));
+  fnv_mix(h, res.real_mults);
+  fnv_mix(h, res.nodes_expanded);
+}
+
+/// The search options the golden sweep crosses with every problem, in a
+/// fixed order.
+std::vector<fc::PreprocessingConfig> golden_configs() {
+  std::vector<fc::PreprocessingConfig> cfgs;
+  for (std::size_t batch : {1u, 4u}) {
+    for (std::size_t cap : {0u, 4096u}) {
+      for (double stop : {0.95, 1.0}) {
+        fc::PreprocessingConfig cfg;
+        cfg.num_paths = 64;
+        cfg.batch_expand = batch;
+        cfg.candidate_list_cap = cap;
+        cfg.stop_threshold = stop;
+        cfgs.push_back(cfg);
+      }
+    }
+  }
+  return cfgs;
+}
+
+}  // namespace
+
+TEST(Preprocessing, GoldenOutputAcrossSweep) {
+  // Pins the search's exact output — every path, every pc bit pattern, the
+  // summation order of pc_sum, Pe(l), the multiplication and node counts —
+  // over seeded channels and every search option, so a rewrite of the
+  // frontier must reproduce it bit for bit.
+  std::uint64_t h = 1469598103934665603ull;
+  std::size_t floor_cases = 0;
+  std::size_t stopped_early = 0;
+  std::uint64_t seed = 4000;
+  for (std::size_t nt : {2u, 4u, 8u, 12u, 16u}) {
+    for (int qam : {4, 16, 64, 256}) {
+      const Constellation c(qam);
+      // From below the operating region up to where every level's Pe sits
+      // on the model's floor, so all levels tie and pc ties are broken by
+      // the position vector alone.
+      for (double snr_db : {0.0, 12.0, 24.0, 40.0, 90.0}) {
+        const CMat hmat = random_channel(nt, nt, seed++);
+        const auto qr = flexcore::linalg::sorted_qr_wubben(hmat);
+        for (const auto& cfg : golden_configs()) {
+          const auto res = fc::find_most_promising_paths(
+              qr.R, ch::noise_var_for_snr_db(snr_db), c, cfg);
+          hash_result(&h, res);
+          floor_cases += std::count(res.pe.begin(), res.pe.end(),
+                                    res.pe.front()) == std::ptrdiff_t(nt);
+          stopped_early += res.paths.size() < cfg.num_paths;
+        }
+      }
+      // Caller-supplied Pe(l) (the control plane's seam), including exact
+      // zeros: every child of a Pe = 0 level has pc == 0.
+      ch::Rng rng(seed++);
+      const double kPe[] = {0.0, 1e-3, 0.1, 0.3};
+      for (int pattern = 0; pattern < 4; ++pattern) {
+        std::vector<double> pe(nt);
+        for (double& v : pe) {
+          v = pattern == 0 ? 0.0
+              : pattern == 1 ? 0.1
+              : pattern == 2 ? kPe[rng.uniform_int(2)]
+                             : kPe[rng.uniform_int(4)];
+        }
+        for (const auto& cfg : golden_configs()) {
+          hash_result(&h, fc::find_most_promising_paths(pe, qam, cfg));
+        }
+      }
+    }
+  }
+  EXPECT_GT(floor_cases, 0u) << "sweep never reached the Pe floor";
+  EXPECT_GT(stopped_early, 0u) << "sweep never hit the stop threshold";
+  EXPECT_EQ(h, 0xd89f081a279ae347ull)
+      << "path selection output changed: if intentional, re-pin the golden "
+         "hash (std::printf(\"%llx\", h))";
+}
+
+TEST(Preprocessing, InPlaceOverwritesStaleResult) {
+  // One result object reused across problems whose Nt, path count and Pe
+  // differ: every field must come out as from a fresh value-returning call.
+  fc::PreprocessingResult out;
+  std::uint64_t seed = 5000;
+  for (std::size_t nt : {12u, 4u, 16u, 2u}) {
+    for (double snr_db : {30.0, 10.0, 20.0}) {
+      for (const auto& cfg : golden_configs()) {
+        const Constellation c(nt > 8 ? 64 : 16);
+        const CMat h = random_channel(nt, nt, seed++);
+        const auto qr = flexcore::linalg::sorted_qr_wubben(h);
+        const double nv = ch::noise_var_for_snr_db(snr_db);
+        const auto want = fc::find_most_promising_paths(qr.R, nv, c, cfg);
+        fc::find_most_promising_paths(qr.R, nv, c, cfg, &out);
+        ASSERT_EQ(out.paths.size(), want.paths.size());
+        for (std::size_t i = 0; i < want.paths.size(); ++i) {
+          ASSERT_EQ(out.paths[i].p, want.paths[i].p);
+          ASSERT_EQ(bits_of(out.paths[i].pc), bits_of(want.paths[i].pc));
+        }
+        ASSERT_EQ(bits_of(out.pc_sum), bits_of(want.pc_sum));
+        ASSERT_EQ(out.pe, want.pe);
+        ASSERT_EQ(out.real_mults, want.real_mults);
+        ASSERT_EQ(out.nodes_expanded, want.nodes_expanded);
+      }
+    }
+  }
+}
+
+TEST(Preprocessing, MatchesExhaustiveOnRandomSmallProblems) {
+  // With an unbounded candidate list and sequential expansion the search is
+  // exact best-first, so it must reproduce the exhaustive ranking — ties
+  // included.  Pe values are dyadic (0, 1/2, 1/4, 1/8), so every pc
+  // is exact in both computations and equal-pc ties are real ties, broken
+  // by ascending position vector.
+  const double kPe[] = {0.0, 0.5, 0.25, 0.125};
+  ch::Rng rng(77);
+  for (int draw = 0; draw < 300; ++draw) {
+    const int qams[] = {4, 16, 64, 256};
+    const int qam = qams[rng.uniform_int(4)];
+    const std::size_t max_nt = qam == 4 ? 5 : qam == 16 ? 3 : qam == 64 ? 2 : 1;
+    const std::size_t nt = 1 + rng.uniform_int(max_nt);
+    std::vector<double> pe(nt);
+    for (double& v : pe) v = kPe[rng.uniform_int(4)];
+    fc::PreprocessingConfig cfg;
+    cfg.num_paths = 1 + rng.uniform_int(80);
+    cfg.candidate_list_cap = 1u << 20;
+    cfg.stop_threshold = 2.0;  // never reached: emit num_paths paths
+    const auto res = fc::find_most_promising_paths(pe, qam, cfg);
+    const auto want = fc::rank_paths_exhaustive(pe, qam, nt, cfg.num_paths);
+    ASSERT_EQ(res.paths.size(), want.size()) << "draw " << draw;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(res.paths[i].p, want[i].p)
+          << "draw " << draw << " rank " << i << ": got "
+          << key_of(res.paths[i].p) << " want " << key_of(want[i].p);
+      ASSERT_EQ(res.paths[i].pc, want[i].pc) << "draw " << draw;
+    }
+  }
 }
 
 // ------------------------------------------------------------ ordering LUT

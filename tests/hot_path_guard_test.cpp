@@ -20,6 +20,7 @@
 #include "api/runtime.h"
 #include "api/uplink_pipeline.h"
 #include "channel/channel.h"
+#include "core/preprocessing.h"
 #include "detect/path_kernels.h"
 #include "frame_fixtures.h"
 #include "linalg/qr.h"
@@ -29,6 +30,7 @@
 #include "shard/sharded_runtime.h"
 
 namespace fa = flexcore::api;
+namespace fc = flexcore::core;
 namespace fd = flexcore::detect;
 namespace fp = flexcore::parallel;
 namespace ch = flexcore::channel;
@@ -133,6 +135,36 @@ TEST(KernelTiers, PathMetricBlockAllocAndLockFreeAllTiers) {
     EXPECT_EQ(d.allocations, 0u);
   }
   EXPECT_EQ(d.lock_acquisitions, 0u);
+}
+
+// ------------------------------------------------ path selection in place
+
+TEST(PathSelection, WarmInPlaceSearchDoesNotAllocate) {
+  // FlexCore's per-channel path selection refills its result in place:
+  // once the result and this thread's frontier pool are warm, a search
+  // touches neither the heap nor a lock, whatever the expansion options.
+  flexcore::modulation::Constellation c(64);
+  ch::Rng rng(41);
+  const fl::QrResult qr = fl::sorted_qr_wubben(ch::rayleigh_iid(12, 12, rng));
+  const double nv = ch::noise_var_for_snr_db(20.0);
+  for (std::size_t batch : {1u, 4u}) {
+    fc::PreprocessingConfig cfg;
+    cfg.num_paths = 64;
+    cfg.batch_expand = batch;
+    fc::PreprocessingResult out;
+    fc::find_most_promising_paths(qr.R, nv, c, cfg, &out);  // cold
+    fc::find_most_promising_paths(qr.R, nv, c, cfg, &out);  // warm-up
+
+    fp::HotPathScope guard("path selection in place", Scope::kThread);
+    fc::find_most_promising_paths(qr.R, nv, c, cfg, &out);
+    fc::find_most_promising_paths(out.pe, c.order(), cfg, &out);
+    const auto d = guard.delta();
+    if (fp::hot_path_guard_enabled()) {
+      EXPECT_EQ(d.allocations, 0u) << "batch_expand=" << batch;
+    }
+    EXPECT_EQ(d.lock_acquisitions, 0u);
+    EXPECT_FALSE(out.paths.empty());
+  }
 }
 
 // --------------------------------------------- single-threaded pool locks
